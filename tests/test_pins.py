@@ -1,0 +1,81 @@
+"""Byte-identity pins for designed documents.
+
+Each case runs ``oockit design`` in process and compares the sha256 of
+what it prints with a recorded digest, so any change to the search or to
+family selection that alters an emitted document is caught.  The first
+group shares its digests with ``perfbench/pins.json``; the second covers
+merges of tuples with different cross ceilings and ``--max-sets`` caps
+applied after a merge, which no benchmark pin exercises.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from oockit.cli import main
+
+PINS = {
+    "7,3,1,1": (
+        ["--n", "7", "--w", "3"],
+        "cbcb03998bc83dae64a84ff307f96b33ca4f86dca3c325ce99eae5961255ea37",
+    ),
+    "13,4,1,1": (
+        ["--n", "13", "--w", "4"],
+        "096e21894bf55864a15e4237e24d08c2b81ec9c3e56c101a4af3209de85312be",
+    ),
+    "25,3,1,1": (
+        ["--n", "25", "--w", "3"],
+        "abdd129b6688ae4d833d2686a7a5f3fa46400631593fbac7adf0d043da71ca43",
+    ),
+    "19,4,2,2": (
+        ["--n", "19", "--w", "4", "--lambda-a", "2", "--lambda-c", "2"],
+        "7f63b1c69afb7cdd1297069cc8240ace3000098fdec82b9d3a050085ff8cf634",
+    ),
+    "25,4,1,1": (
+        ["--n", "25", "--w", "4"],
+        "ea28fb45fda44b83e6f3840d9b87248b2a1cc566718eda3ff3ae0be9e880c55f",
+    ),
+    "37,4,1,1": (
+        ["--n", "37", "--w", "4"],
+        "6d9ad5c640b7305eec6e2b9984717f894c4f76a317bf558c3aebf358754c03a9",
+    ),
+    "13,4,1,1+25,3,1,1": (
+        ["--n", "13,25", "--w", "4,3"],
+        "bde291c5d09aaa596b8fb101121b001adcc5cff8079f13da368c846bc9915ffa",
+    ),
+    "mixed-ceilings-13-19": (
+        ["--n", "13,19", "--w", "4,4", "--lambda-a", "1,2", "--lambda-c", "1,2"],
+        "ecdc1931f8d0bf0f6273a68cfeb489ebb46d0a6056dc1805b96cf94304123dd0",
+    ),
+    "mixed-ceilings-19-25": (
+        ["--n", "19,25", "--w", "4,3", "--lambda-a", "2,1", "--lambda-c", "2,1"],
+        "497561adf35fac07a8a6a503f0c2d4570db1611e3ee0dc39e8ed7ae620dea420",
+    ),
+    "merge-25-31-max-sets-2": (
+        ["--n", "25,31", "--w", "3,3", "--max-sets", "2"],
+        "b650ba4c3cb32204fa136cd1a128f73ba9a28b71a8a8d05a980eed88dbd0d38f",
+    ),
+    "merge-13-25-max-sets-1": (
+        ["--n", "13,25", "--w", "4,3", "--max-sets", "1"],
+        "827e48d58cd83c1069cdb3ab9ff6bac9ef545240f2a7b3f21423cb423cf556ff",
+    ),
+    "31,3,1,1-max-sets-3": (
+        ["--n", "31", "--w", "3", "--max-sets", "3"],
+        "0d18b14aa2c5c2f755f8d930e54ba094a47b1419c10908efd584f0492163b2e6",
+    ),
+    "19,4,2,2-max-sets-2": (
+        ["--n", "19", "--w", "4", "--lambda-a", "2", "--lambda-c", "2",
+         "--max-sets", "2"],
+        "fea2ebe65a5b59cf25a27a476cd36d631dcfabc72b93f594ccf8fe190e77c2a4",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINS))
+def test_designed_document_is_byte_identical(case, capsys):
+    argv, digest = PINS[case]
+    assert main(["design", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
