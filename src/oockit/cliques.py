@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import combinations
 
 from .codes import CodeParams, Dopr, PartialDopr
 from .correlation import (
@@ -77,45 +77,19 @@ def code_matrix(code: Dopr | PartialDopr | EdopMatrix) -> EdopMatrix:
     return edop_full(code)
 
 
-def build_graph(codes, threshold: int, *, block_by_first: bool = False) -> CodeGraph:
-    """Join two codes when their cross correlation is at most ``threshold``.
-
-    ``block_by_first`` computes the same graph while holding difference
-    tables for only two first-element groups at a time, which bounds peak
-    memory on large candidate pools.
-    """
+def build_graph(codes, threshold: int) -> CodeGraph:
+    """Join two codes when their cross correlation is at most ``threshold``."""
     nodes = tuple(codes)
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
     size = len(nodes)
     nbrs: list[set[int]] = [set() for _ in range(size)]
-
-    def _join(i: int, mi: EdopMatrix, j: int, mj: EdopMatrix) -> None:
-        if crosscorr_edop(mi, mj).lambda_cxy <= threshold:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-
-    if block_by_first:
-        blocks = [
-            list(group)
-            for _, group in groupby(range(size), key=lambda i: nodes[i].dops[0])
-        ]
-        for a, block_a in enumerate(blocks):
-            mats_a = {i: code_matrix(nodes[i]) for i in block_a}
-            for i_pos, i in enumerate(block_a):
-                for j in block_a[i_pos + 1 :]:
-                    _join(i, mats_a[i], j, mats_a[j])
-            for block_b in blocks[a + 1 :]:
-                mats_b = {j: code_matrix(nodes[j]) for j in block_b}
-                for i in block_a:
-                    for j in block_b:
-                        _join(i, mats_a[i], j, mats_b[j])
-    else:
-        mats = [code_matrix(c) for c in nodes]
-        for i in range(size):
-            for j in range(i + 1, size):
-                _join(i, mats[i], j, mats[j])
-
+    mats = [code_matrix(c) for c in nodes]
+    for i in range(size):
+        for j in range(i + 1, size):
+            if crosscorr_edop(mats[i], mats[j]).lambda_cxy <= threshold:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
     return CodeGraph(nodes, tuple(frozenset(s) for s in nbrs), threshold)
 
 
@@ -277,7 +251,9 @@ class CliqueSetMatrix:
 
     ``raw`` holds the inter-set peaks (the diagonal is the code weight,
     every set against itself); ``normalized`` marks acceptably separated
-    pairs with 1 and zeroes the diagonal.
+    pairs with 1 and zeroes the diagonal.  A pair is separated when its
+    peak is at most the stricter of the two sets' cross ceilings plus one;
+    ``threshold`` is the smallest such limit, min(lambda_c) + 1.
     """
 
     cliques: tuple[CliqueSet, ...]
@@ -286,23 +262,30 @@ class CliqueSetMatrix:
     threshold: int
 
 
-def clique_set_matrix(cliques, lambda_c: int) -> CliqueSetMatrix:
+def clique_set_matrix(cliques) -> CliqueSetMatrix:
+    """Inter-set peaks of every pair, judged against per-pair limits.
+
+    Each set's own ``params.lambda_c`` is its cross ceiling; a pair may
+    rise to min(lambda_c of both) + 1, the floor forced between distinct
+    maximal cliques.
+    """
     items = tuple(cliques)
     size = len(items)
+    ceilings = [c.params.lambda_c for c in items]
     raw = [[0] * size for _ in range(size)]
+    normalized = [[0] * size for _ in range(size)]
     for i in range(size):
         raw[i][i] = interset_crosscorr(items[i], items[i])
         for j in range(i + 1, size):
             raw[i][j] = raw[j][i] = interset_crosscorr(items[i], items[j])
-    threshold = lambda_c + 1
-    normalized = tuple(
-        tuple(
-            1 if i != j and raw[i][j] <= threshold else 0 for j in range(size)
-        )
-        for i in range(size)
-    )
+            if raw[i][j] <= min(ceilings[i], ceilings[j]) + 1:
+                normalized[i][j] = normalized[j][i] = 1
+    threshold = min(ceilings, default=0) + 1
     return CliqueSetMatrix(
-        items, tuple(tuple(r) for r in raw), normalized, threshold
+        items,
+        tuple(tuple(r) for r in raw),
+        tuple(tuple(r) for r in normalized),
+        threshold,
     )
 
 
@@ -314,28 +297,24 @@ class Family:
     interset_lambda: int
 
 
-def select_family(cliques, lambda_c: int) -> Family:
+def select_family(cliques, max_sets: int | None = None) -> Family:
     """Keep a greedy clique of candidate sets under the separation rule.
 
-    Two sets are joined when their inter-set peak is at most lambda_c + 1,
-    the floor forced between distinct maximal cliques; the degree-greedy
-    walk over that graph picks the family.  Fewer than two surviving sets
-    record an inter-set value of 0.
+    Two sets are joined when their inter-set peak is at most the stricter
+    of their two cross ceilings plus one (see `clique_set_matrix`); the
+    degree-greedy walk over that graph picks the family.  The chosen sets
+    are sorted canonically and the first ``max_sets`` kept.  The family
+    level is the largest peak among the kept sets; fewer than two record 0.
     """
     items = tuple(cliques)
-    if not items:
-        return Family((), 0)
-    matrix = clique_set_matrix(items, lambda_c)
+    matrix = clique_set_matrix(items)
     neighbors = tuple(
         frozenset(j for j, flag in enumerate(row) if flag)
         for row in matrix.normalized
     )
     graph = CodeGraph(items, neighbors, matrix.threshold)
-    chosen = sorted(greedy_clique(graph))
-    sets = tuple(sorted((items[i] for i in chosen), key=_clique_key))
-    if len(chosen) < 2:
-        return Family(sets, 0)
-    peak = max(
-        matrix.raw[i][j] for i in chosen for j in chosen if i < j
-    )
-    return Family(sets, peak)
+    chosen = sorted(
+        greedy_clique(graph), key=lambda i: (_clique_key(items[i]), i)
+    )[:max_sets]
+    peak = max((matrix.raw[i][j] for i, j in combinations(chosen, 2)), default=0)
+    return Family(tuple(items[i] for i in chosen), peak)

@@ -14,7 +14,6 @@ the tallies are exact, never estimates, and the disabled counter is None.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .codes import BinaryCode, Dopr, Wpr, dopr_from_wpr, wpr_from_binary, wpr_from_dopr
@@ -27,7 +26,6 @@ __all__ = [
     "autocorr_edop",
     "crosscorr_bruteforce",
     "crosscorr_edop",
-    "crosscorr_periodic",
     "set_lambda_a",
     "set_lambda_c",
     "interset_crosscorr",
@@ -211,33 +209,6 @@ def crosscorr_edop(
             if shared > best:
                 best = shared
     return CrossReport(1 + best, None, None)
-
-
-def crosscorr_periodic(
-    x: BinaryCode | Wpr | Dopr, y: BinaryCode | Wpr | Dopr
-) -> CrossReport:
-    """Diagnostic: shift correlation of the lcm-periodic extensions.
-
-    For equal lengths this coincides with the brute-force route.  For
-    unequal lengths it answers a different question than the
-    difference-table route and can diverge wildly: with co-prime lengths
-    every pair of one-bits aligns at exactly one shift of the common
-    period, so the overlap is the constant w_x * w_y.
-    """
-    xpos, xn = _positions(x)
-    ypos, yn = _positions(y)
-    period = math.lcm(xn, yn)
-    xset = frozenset(xpos)
-    yset = frozenset(ypos)
-    profile = []
-    for m in range(period):
-        hits = sum(
-            1
-            for t in range(period)
-            if t % xn in xset and (t + m) % period % yn in yset
-        )
-        profile.append(hits)
-    return CrossReport(max(profile), tuple(profile), None)
 
 
 def set_lambda_a(codes, *, method: str = "edop") -> int:

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 from .cliques import (
     CliqueSet,
-    CodeGraph,
     Family,
     build_graph,
     enumerate_cliques,
-    greedy_clique,
     make_clique_set,
     select_family,
 )
@@ -33,8 +31,13 @@ from .codes import (
     max_difference_at,
     standardize,
 )
-from .correlation import autocorr_edop, interset_crosscorr
+from .correlation import autocorr_edop
 from .edop import edop_full, edop_partial
+
+# Unused here, but perfbench/tracing.py counts calls by swapping these
+# two names on this module, so they must stay importable from it.
+from .cliques import greedy_clique  # noqa: F401
+from .correlation import interset_crosscorr  # noqa: F401
 
 __all__ = [
     "DesignConfig",
@@ -53,7 +56,6 @@ class DesignConfig:
 
     parameter_list: tuple[CodeParams, ...]
     max_sets: int | None = None
-    deterministic_order: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parameter_list", tuple(self.parameter_list))
@@ -182,12 +184,7 @@ def _finalize_clique(members, params: CodeParams) -> CliqueSet | None:
     return make_clique_set(completed, params)
 
 
-def design_fixed(
-    params: CodeParams,
-    max_sets: int | None = None,
-    *,
-    deterministic_order: bool = True,
-) -> Family:
+def design_fixed(params: CodeParams, max_sets: int | None = None) -> Family:
     """Design a family of code sets for a single parameter tuple.
 
     An empty family means the search found no conforming set for these
@@ -207,8 +204,7 @@ def design_fixed(
         pool = pools.popleft()
         if not pool:
             continue
-        if deterministic_order:
-            pool = tuple(sorted(pool, key=lambda c: c.dops))
+        pool = tuple(sorted(pool, key=lambda c: c.dops))
         if pool[0].u == params.w - 1:
             pool = _dedup_by_class(pool, params.n)
         graph = build_graph(pool, params.lambda_c)
@@ -224,75 +220,21 @@ def design_fixed(
             if key not in emitted:
                 emitted.add(key)
                 candidates.append(done)
-    family = select_family(candidates, params.lambda_c)
-    return _truncate_family(family, max_sets)
-
-
-def _truncate_family(family: Family, max_sets: int | None) -> Family:
-    if max_sets is None or len(family.sets) <= max_sets:
-        return family
-    sets = family.sets[:max_sets]
-    if len(sets) < 2:
-        return Family(sets, 0)
-    peak = max(
-        interset_crosscorr(a, b)
-        for i, a in enumerate(sets)
-        for b in sets[i + 1 :]
-    )
-    return Family(sets, peak)
+    return select_family(candidates, max_sets)
 
 
 def design_multi(config: DesignConfig) -> Family:
-    """Design across several parameter tuples and merge the survivors.
+    """Design every parameter tuple, then select one family from the union.
 
-    A single-entry parameter list defers to the fixed-parameter pipeline.
-    Otherwise every set designed for any tuple competes in one graph whose
-    edges require the inter-set correlation to be at most the stricter of
-    the two cross ceilings plus one; a greedy clique of that graph is the
-    emitted family.
+    Each tuple's family is designed on its own; all of their sets then
+    compete in one `select_family` call, where two sets are compatible
+    when their inter-set peak is at most the stricter of their two cross
+    ceilings plus one.  ``max_sets`` caps each tuple's family and the
+    merged one.
     """
-    if len(config.parameter_list) == 1:
-        return design_fixed(
-            config.parameter_list[0],
-            config.max_sets,
-            deterministic_order=config.deterministic_order,
-        )
-    pool: list[CliqueSet] = []
-    for params in config.parameter_list:
-        fam = design_fixed(
-            params,
-            config.max_sets,
-            deterministic_order=config.deterministic_order,
-        )
-        pool.extend(fam.sets)
-    if not pool:
-        return Family((), 0)
-
-    size = len(pool)
-    raw = [[0] * size for _ in range(size)]
-    nbrs: list[set[int]] = [set() for _ in range(size)]
-    for i in range(size):
-        raw[i][i] = interset_crosscorr(pool[i], pool[i])
-        for j in range(i + 1, size):
-            raw[i][j] = raw[j][i] = interset_crosscorr(pool[i], pool[j])
-            limit = min(pool[i].params.lambda_c, pool[j].params.lambda_c) + 1
-            if raw[i][j] <= limit:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
-    floor = min(p.lambda_c for p in (s.params for s in pool)) + 1
-    graph = CodeGraph(tuple(pool), tuple(frozenset(s) for s in nbrs), floor)
-    chosen = sorted(greedy_clique(graph))
-    sets = tuple(
-        sorted(
-            (pool[i] for i in chosen),
-            key=lambda s: (
-                s.params.n,
-                s.params.w,
-                tuple(c.dops for c in s.codes),
-            ),
-        )
-    )
-    if len(chosen) < 2:
-        return _truncate_family(Family(sets, 0), config.max_sets)
-    peak = max(raw[i][j] for i in chosen for j in chosen if i < j)
-    return _truncate_family(Family(sets, peak), config.max_sets)
+    pool = [
+        s
+        for params in config.parameter_list
+        for s in design_fixed(params, config.max_sets).sets
+    ]
+    return select_family(pool, config.max_sets)

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .cliques import Family
-from .codes import CodeParams, Dopr, rotations, wpr_from_dopr
+from .codes import CodeParams, Dopr, _standard_rotation, wpr_from_dopr
 from .correlation import (
     autocorr_bruteforce,
     autocorr_edop,
@@ -296,12 +296,6 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _standard_form(dops: tuple[int, ...]) -> tuple[int, ...]:
-    rots = rotations(dops)
-    top = max(r[-1] for r in rots)
-    return min(r for r in rots if r[-1] == top)
-
-
 def verify_document(doc: CodeSetDocument) -> VerificationReport:
     """Re-derive every claimed property of a document.
 
@@ -377,7 +371,7 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
     problems = []
     for k, s in enumerate(doc.sets):
         for i, c in enumerate(s.codes):
-            std = _standard_form(c.dopr)
+            std = _standard_rotation(c.dopr)
             if c.dopr != std:
                 problems.append(
                     f"set {k} code {i}: {list(c.dopr)} should be stored as {list(std)}"
@@ -471,7 +465,7 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
 
     # set-size-bound: stored bound is correct and respected
     problems = []
-    for k, p in params_by_set.items():
+    for k, (p, codes, mats) in valid.items():
         s = doc.sets[k]
         expected = johnson_bound(p.n, p.w, max(p.lambda_a, p.lambda_c))
         if s.bound != expected:
@@ -480,7 +474,7 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
             problems.append(
                 f"set {k}: {len(s.codes)} codes exceed the bound {expected}"
             )
-    checks.append(Check("set-size-bound", not problems, "; ".join(problems)))
+    finish("set-size-bound", problems)
 
     # stored-auto-correlation: recorded set level matches recomputation
     problems = []

@@ -76,17 +76,6 @@ def test_build_graph_edges_match_the_definition():
             assert (i in graph.neighbors[j]) == expect
 
 
-def test_blocked_graph_construction_is_equivalent():
-    pool = classes_as_codes(13, 4)
-    plain = build_graph(pool, threshold=2)
-    blocked = build_graph(pool, threshold=2, block_by_first=True)
-    assert plain.neighbors == blocked.neighbors
-    shuffled = list(pool)
-    random.Random(7).shuffle(shuffled)
-    again = build_graph(shuffled, threshold=2, block_by_first=True)
-    assert again.neighbors == build_graph(shuffled, threshold=2).neighbors
-
-
 def test_build_graph_rejects_silly_thresholds():
     with pytest.raises(ValueError):
         build_graph(classes_as_codes(7, 3), threshold=0)
@@ -237,9 +226,20 @@ def test_clique_set_matrix_values():
     params = CodeParams(7, 3, 1, 1)
     a = make_clique_set([Dopr((1, 2, 4), 7)], params)
     b = make_clique_set([Dopr((2, 1, 4), 7)], params)
-    matrix = clique_set_matrix([a, b], lambda_c=1)
+    matrix = clique_set_matrix([a, b])
     assert matrix.raw == ((3, 2), (2, 3))  # diagonal is the weight
     assert matrix.normalized == ((0, 1), (1, 0))
+    assert matrix.threshold == 2
+
+
+def test_clique_set_matrix_limits_each_pair_by_its_stricter_ceiling():
+    code = [Dopr((1, 2, 4), 7)]
+    loose = make_clique_set(code, CodeParams(7, 3, 2, 2))
+    also_loose = make_clique_set(code, CodeParams(7, 3, 1, 2))
+    strict = make_clique_set(code, CodeParams(7, 3, 1, 1))
+    matrix = clique_set_matrix([loose, also_loose, strict])
+    # identical codes peak at the weight 3, within 2 + 1 but not 1 + 1
+    assert matrix.normalized == ((0, 1, 0), (1, 0, 0), (0, 0, 0))
     assert matrix.threshold == 2
 
 
@@ -247,16 +247,25 @@ def test_select_family_keeps_separated_sets():
     params = CodeParams(7, 3, 1, 1)
     a = make_clique_set([Dopr((1, 2, 4), 7)], params)
     b = make_clique_set([Dopr((2, 1, 4), 7)], params)
-    family = select_family([a, b], lambda_c=1)
+    family = select_family([a, b])
     assert family.sets == (a, b)
     assert family.interset_lambda == 2
 
 
 def test_select_family_degenerate_inputs():
-    assert select_family([], lambda_c=1).sets == ()
+    assert select_family([]).sets == ()
     params = CodeParams(7, 3, 1, 1)
     a = make_clique_set([Dopr((1, 2, 4), 7)], params)
-    family = select_family([a], lambda_c=1)
+    family = select_family([a])
+    assert family.sets == (a,)
+    assert family.interset_lambda == 0
+
+
+def test_select_family_truncates_after_the_canonical_sort():
+    params = CodeParams(7, 3, 1, 1)
+    a = make_clique_set([Dopr((1, 2, 4), 7)], params)
+    b = make_clique_set([Dopr((2, 1, 4), 7)], params)
+    family = select_family([b, a], max_sets=1)
     assert family.sets == (a,)
     assert family.interset_lambda == 0
 

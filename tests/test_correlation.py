@@ -15,7 +15,6 @@ from oockit import (
     autocorr_edop,
     crosscorr_bruteforce,
     crosscorr_edop,
-    crosscorr_periodic,
     dopr_from_wpr,
     edop_full,
     interset_crosscorr,
@@ -138,22 +137,6 @@ def test_table_route_saves_work_at_the_worked_size():
         crosscorr_edop(x, y, count_comparisons=True).comparisons
         < crosscorr_bruteforce(x, y, count_comparisons=True).comparisons
     )
-
-
-def test_periodic_extension_equals_bruteforce_for_equal_lengths():
-    periodic = crosscorr_periodic(X, Y)
-    brute = crosscorr_bruteforce(X, Y)
-    assert periodic.lambda_cxy == brute.lambda_cxy
-    assert periodic.per_shift == brute.per_shift
-
-
-def test_periodic_extension_is_constant_for_coprime_lengths():
-    # Every one-bit pair aligns at exactly one shift of the lcm period.
-    x = Dopr((1, 2, 4), 7)
-    y = Dopr((2, 3, 8), 13)
-    report = crosscorr_periodic(x, y)
-    assert set(report.per_shift) == {3 * 3}
-    assert report.lambda_cxy == 9
 
 
 @pytest.mark.parametrize(

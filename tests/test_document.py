@@ -233,6 +233,27 @@ def test_tamper_set_size_bound():
     assert failed_rules(doc_from_payload(payload)) == {"set-size-bound"}
 
 
+def test_set_size_bound_skips_structurally_bad_sets():
+    # A declared weight of a million over two-entry codes fails
+    # parameter-consistency; the bound, whose cost grows with lambda, must
+    # not be evaluated for it, and the skip must be named.
+    payload = payload_of(DOC13)
+    w = 10**6
+    payload["sets"].append(
+        {
+            "params": {"n": w + 1, "w": w, "lambda_a": w - 1, "lambda_c": w - 1},
+            "bound": 1,
+            "verified_lambda_a": 1,
+            "verified_lambda_c": 0,
+            "codes": [{"dopr": [1, w], "wpr": [0, 1]}],
+        }
+    )
+    doc = doc_from_payload(payload)
+    assert failed_rules(doc) == {"parameter-consistency"}
+    detail = {c.rule: c.detail for c in verify_document(doc).checks}
+    assert "sets [1] not evaluated" in detail["set-size-bound"]
+
+
 def test_tamper_stored_auto_correlation():
     payload = payload_of(DOC13)
     payload["sets"][0]["verified_lambda_a"] = 0
