@@ -15,6 +15,7 @@ from oockit import (
     clique_set_matrix,
     dopr_from_wpr,
     enumerate_cliques,
+    enumerate_first_pairs,
     greedy_clique,
     johnson_bound,
     make_clique_set,
@@ -79,6 +80,20 @@ def test_build_graph_edges_match_the_definition():
 def test_build_graph_rejects_silly_thresholds():
     with pytest.raises(ValueError):
         build_graph(classes_as_codes(7, 3), threshold=0)
+
+
+@pytest.mark.parametrize(
+    "params,nodes,edges",
+    [
+        (CodeParams(25, 3, 1, 1), 110, 2172),
+        (CodeParams(19, 4, 2, 2), 56, 1525),
+    ],
+)
+def test_first_pair_graph_work_counts_are_exact(params, nodes, edges):
+    """Node and edge counts of the designer's opening graph are repeatable."""
+    graph = build_graph(enumerate_first_pairs(params), params.lambda_c)
+    assert len(graph.nodes) == nodes
+    assert sum(map(len, graph.neighbors)) // 2 == edges
 
 
 def test_greedy_on_trivial_graphs():

@@ -3,48 +3,43 @@
 Each case runs ``oockit design`` in process and compares the sha256 of
 what it prints with a recorded digest, so any change to the search or to
 family selection that alters an emitted document is caught.  The first
-group shares its digests with ``perfbench/pins.json``; the second covers
-merges of tuples with different cross ceilings and ``--max-sets`` caps
-applied after a merge, which no benchmark pin exercises.
+group is every key of ``perfbench/pins.json``, read from that file, whose
+keys spell the design call (``n,w,lambda_a,lambda_c`` tuples joined by
+``+``, then an optional ``/max_sets=k``); the second covers merges of
+tuples with different cross ceilings and ``--max-sets`` caps applied
+after a merge, which no benchmark pin exercises.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from oockit.cli import main
 
+BENCHMARK_PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+
+
+def design_argv(key):
+    """``oockit design`` arguments for a ``perfbench/pins.json`` key."""
+    tuples, _, max_sets = key.partition("/max_sets=")
+    columns = zip(*(t.split(",") for t in tuples.split("+")))
+    argv = []
+    for flag, values in zip(("--n", "--w", "--lambda-a", "--lambda-c"), columns):
+        argv += [flag, ",".join(values)]
+    if max_sets:
+        argv += ["--max-sets", max_sets]
+    return argv
+
+
 PINS = {
-    "7,3,1,1": (
-        ["--n", "7", "--w", "3"],
-        "cbcb03998bc83dae64a84ff307f96b33ca4f86dca3c325ce99eae5961255ea37",
-    ),
-    "13,4,1,1": (
-        ["--n", "13", "--w", "4"],
-        "096e21894bf55864a15e4237e24d08c2b81ec9c3e56c101a4af3209de85312be",
-    ),
-    "25,3,1,1": (
-        ["--n", "25", "--w", "3"],
-        "abdd129b6688ae4d833d2686a7a5f3fa46400631593fbac7adf0d043da71ca43",
-    ),
-    "19,4,2,2": (
-        ["--n", "19", "--w", "4", "--lambda-a", "2", "--lambda-c", "2"],
-        "7f63b1c69afb7cdd1297069cc8240ace3000098fdec82b9d3a050085ff8cf634",
-    ),
-    "25,4,1,1": (
-        ["--n", "25", "--w", "4"],
-        "ea28fb45fda44b83e6f3840d9b87248b2a1cc566718eda3ff3ae0be9e880c55f",
-    ),
-    "37,4,1,1": (
-        ["--n", "37", "--w", "4"],
-        "6d9ad5c640b7305eec6e2b9984717f894c4f76a317bf558c3aebf358754c03a9",
-    ),
-    "13,4,1,1+25,3,1,1": (
-        ["--n", "13,25", "--w", "4,3"],
-        "bde291c5d09aaa596b8fb101121b001adcc5cff8079f13da368c846bc9915ffa",
-    ),
+    key: (design_argv(key), digest)
+    for key, digest in json.loads(BENCHMARK_PINS.read_text("utf-8")).items()
+}
+PINS |= {
     "mixed-ceilings-13-19": (
         ["--n", "13,19", "--w", "4,4", "--lambda-a", "1,2", "--lambda-c", "1,2"],
         "ecdc1931f8d0bf0f6273a68cfeb489ebb46d0a6056dc1805b96cf94304123dd0",
