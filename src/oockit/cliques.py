@@ -8,23 +8,47 @@ the graph to its neighborhood, repeat.  The walk always lands on a maximal
 clique; enumerating one walk per highest-degree start node yields the
 candidate sets, and a guarded exact search exists to keep the greedy
 answers honest in tests.
+
+The designer's graph build, clique walk and family selection share one
+int-bitset kernel.  Two rows of difference tables share k or more entries
+exactly when they have a k-entry subset in common.  So each call numbers
+the k-entry subsets of the table rows it meets (`_subsets`), and a code
+or a set of codes becomes an int with one bit per subset it owns: two of
+them share k entries in some pair of rows exactly when their level-k
+masks intersect, and level 1 is the plain entry set.  `build_graph`
+keeps, per subset, the bitset of the codes owning it, so a code's
+non-neighbors are the union of a few ints; `clique_set_matrix` finds each
+inter-set peak by intersecting levels 1, 2, ... until one comes up
+empty.  A graph's adjacency is held as one int mask per node, so the
+walk scores a node with ``int.bit_count``.  Tables are built once per
+call, and nothing is kept between calls.
+
+The public correlation functions (`crosscorr_edop`,
+`interset_crosscorr`), set assembly (`make_clique_set`),
+`verify_maximality` and document verification keep their independent
+frozenset and brute-force routes, which the tests hold the kernel to.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property, reduce
+from itertools import combinations, compress
+from operator import or_
 
 from .codes import CodeParams, Dopr, PartialDopr
 from .correlation import (
     crosscorr_edop,
-    interset_crosscorr,
     johnson_bound,
     set_lambda_a,
     set_lambda_c,
 )
 from .edop import EdopMatrix, edop_full, edop_partial
+
+# Unused here, but perfbench/tracing.py counts calls by swapping this name
+# on this module, so it must stay importable from it.
+from .correlation import interset_crosscorr  # noqa: F401
 
 __all__ = [
     "CodeGraph",
@@ -59,6 +83,12 @@ class CodeGraph:
             if any(v not in self.neighbors[u] for u in nbrs):
                 raise ValueError("adjacency must be symmetric")
 
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """Neighbor sets as int bitsets: bit u of ``_masks[v]`` marks edge v-u."""
+        size = len(self.nodes)
+        return tuple(_bitset(nbrs, size) for nbrs in self.neighbors)
+
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         size = len(self.nodes)
@@ -77,20 +107,69 @@ def code_matrix(code: Dopr | PartialDopr | EdopMatrix) -> EdopMatrix:
     return edop_full(code)
 
 
+def _bitset(members, size: int) -> int:
+    """Int with bit i set for each i in ``members``, all below ``size``.
+
+    Parsed from a digit string: summing ``1 << i`` would cost a full-width
+    addition per member.
+    """
+    bits = bytearray(b"0") * size
+    for i in members:
+        bits[i] = 49  # ord("1")
+    return int(bits[::-1], 2) if size else 0
+
+
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(mask: int, size: int):
+    """Ascending indices of the set bits of ``mask``, all below ``size``.
+
+    The inverse of `_bitset`, read off a digit string so that the scan
+    runs in C rather than as a Python step per bit.
+    """
+    digits = format(mask, f"0{size}b")[::-1].encode().translate(_DIGITS)
+    return compress(range(size), digits)
+
+
+def _subsets(rows, k: int, bits: dict) -> set[int]:
+    """Numbers of the k-entry subsets of any of the difference-table ``rows``.
+
+    Two rows share k or more entries exactly when they have a k-entry
+    subset in common.  ``bits`` numbers the subsets as they are first
+    seen, so numbers compare only when drawn from the same ``bits``.
+    """
+    return {
+        bits.setdefault(subset, len(bits))
+        for row in rows
+        for subset in combinations(row, k)
+    }
+
+
 def build_graph(codes, threshold: int) -> CodeGraph:
-    """Join two codes when their cross correlation is at most ``threshold``."""
+    """Join two codes when their cross correlation is at most ``threshold``.
+
+    That is, no row of one table shares ``threshold`` entries with a row
+    of the other: the two codes own no ``threshold``-entry subset in
+    common.  Each subset keeps the bitset of the codes that own it, so a
+    code's non-neighbors are the union of its subsets' owners.
+    """
     nodes = tuple(codes)
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
     size = len(nodes)
-    nbrs: list[set[int]] = [set() for _ in range(size)]
-    mats = [code_matrix(c) for c in nodes]
-    for i in range(size):
-        for j in range(i + 1, size):
-            if crosscorr_edop(mats[i], mats[j]).lambda_cxy <= threshold:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
-    return CodeGraph(nodes, tuple(frozenset(s) for s in nbrs), threshold)
+    bits: dict = {}
+    owned = [_subsets(code_matrix(c).rows, threshold, bits) for c in nodes]
+    owners = [0] * len(bits)
+    for i, subsets in enumerate(owned):
+        for b in subsets:
+            owners[b] |= 1 << i
+    everyone = (1 << size) - 1
+    neighbors = []
+    for i, subsets in enumerate(owned):
+        clash = reduce(or_, map(owners.__getitem__, subsets), 1 << i)
+        neighbors.append(frozenset(_members(everyone & ~clash, size)))
+    return CodeGraph(nodes, tuple(neighbors), threshold)
 
 
 def greedy_clique(graph: CodeGraph, start: int | None = None) -> tuple[int, ...]:
@@ -104,16 +183,19 @@ def greedy_clique(graph: CodeGraph, start: int | None = None) -> tuple[int, ...]
         return ()
     if start is not None and not 0 <= start < len(graph.nodes):
         raise ValueError(f"start index {start} out of range")
-    nbrs = graph.neighbors
-    active = set(range(len(graph.nodes)))
+    masks, size = graph._masks, len(graph.nodes)
+    active = (1 << size) - 1
     chosen: list[int] = []
     while active:
         if not chosen and start is not None:
             pick = start
         else:
-            pick = min(active, key=lambda v: (-len(nbrs[v] & active), v))
+            # ``members`` ascends and index finds the first top score.
+            members = list(_members(active, size))
+            scores = [(masks[v] & active).bit_count() for v in members]
+            pick = members[scores.index(max(scores))]
         chosen.append(pick)
-        active &= nbrs[pick]
+        active &= masks[pick]
     return tuple(chosen)
 
 
@@ -125,7 +207,7 @@ def enumerate_cliques(graph: CodeGraph) -> tuple[tuple[int, ...], ...]:
     """
     if not graph.nodes:
         return ()
-    degrees = [len(n) for n in graph.neighbors]
+    degrees = [m.bit_count() for m in graph._masks]
     top = max(degrees)
     found: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
@@ -272,13 +354,28 @@ def clique_set_matrix(cliques) -> CliqueSetMatrix:
     items = tuple(cliques)
     size = len(items)
     ceilings = [c.params.lambda_c for c in items]
+    bits: dict = {}
+    # levels[i][k - 1]: the k-entry subsets owned by set i's member rows.
+    levels = []
+    for s in items:
+        rows = [row for c in s.codes for row in code_matrix(c).rows]
+        levels.append([
+            sum(1 << b for b in _subsets(rows, k, bits))
+            for k in range(1, max(map(len, rows)) + 1)
+        ])
     raw = [[0] * size for _ in range(size)]
     normalized = [[0] * size for _ in range(size)]
-    for i in range(size):
-        raw[i][i] = interset_crosscorr(items[i], items[i])
-        for j in range(i + 1, size):
-            raw[i][j] = raw[j][i] = interset_crosscorr(items[i], items[j])
-            if raw[i][j] <= min(ceilings[i], ceilings[j]) + 1:
+    for i, xs in enumerate(levels):
+        # One more than the most entries any two member rows share; from
+        # j = i, as a set against itself peaks at w in `interset_crosscorr`.
+        for j in range(i, size):
+            shared = 0
+            for x, y in zip(xs, levels[j]):
+                if not x & y:
+                    break
+                shared += 1
+            raw[i][j] = raw[j][i] = 1 + shared
+            if j > i and raw[i][j] <= min(ceilings[i], ceilings[j]) + 1:
                 normalized[i][j] = normalized[j][i] = 1
     threshold = min(ceilings, default=0) + 1
     return CliqueSetMatrix(

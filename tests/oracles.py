@@ -114,6 +114,25 @@ def max_clique_size(adjacency, cap=None):
     return best
 
 
+def greedy_walk(adjacency, start=None):
+    """Degree-greedy clique walk, as nodes in selection order.
+
+    ``adjacency`` maps node -> set of neighbors.  Each step picks the node
+    with the most neighbors among the still-active nodes (ties to the
+    smallest), or ``start`` first, then keeps only its neighbors active.
+    """
+    active = set(adjacency)
+    chosen = []
+    while active:
+        if not chosen and start is not None:
+            pick = start
+        else:
+            pick = min(active, key=lambda v: (-len(adjacency[v] & active), v))
+        chosen.append(pick)
+        active &= adjacency[pick]
+    return tuple(chosen)
+
+
 def nested_floor_bound(n, w, lam):
     """Size ceiling by repeated floor division, innermost first."""
     acc = 1

@@ -1,0 +1,122 @@
+"""The designer's int-bitset kernel against the independent routes.
+
+`build_graph`, `greedy_clique` and `clique_set_matrix` work on row masks
+and adjacency bitsets; here random inputs hold them to `crosscorr_edop`,
+`interset_crosscorr` and the plain-set oracles, which share no code with
+the kernel.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from oockit import (
+    CliqueSet,
+    CodeGraph,
+    CodeParams,
+    PartialDopr,
+    Wpr,
+    build_graph,
+    clique_set_matrix,
+    crosscorr_edop,
+    dopr_from_wpr,
+    edop_full,
+    edop_partial,
+    greedy_clique,
+    interset_crosscorr,
+)
+
+from oracles import greedy_walk, max_cross
+
+
+@st.composite
+def complete_codes(draw, n, w):
+    rest = draw(st.sets(st.integers(1, n - 1), min_size=w - 1, max_size=w - 1))
+    return dopr_from_wpr(Wpr((0, *sorted(rest)), n))
+
+
+@st.composite
+def pool_codes(draw):
+    """A complete code, or a partial one cut from it, of length 7..31."""
+    n = draw(st.integers(7, 31))
+    w = draw(st.integers(3, min(6, n - 1)))
+    code = draw(complete_codes(n, w))
+    u = draw(st.integers(1, w))
+    return code if u == w else PartialDopr(code.dops[:u], n, w)
+
+
+def table(code):
+    return edop_partial(code) if isinstance(code, PartialDopr) else edop_full(code)
+
+
+def positions(code):
+    """One-bit positions of the code, or of a partial code's closed companion."""
+    steps = code.dops if isinstance(code, PartialDopr) else code.dops[:-1]
+    out = [0]
+    for d in steps:
+        out.append(out[-1] + d)
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(pool_codes(), max_size=14), st.integers(1, 3))
+def test_build_graph_edges_match_both_reference_routes(pool, threshold):
+    graph = build_graph(pool, threshold)
+    for i, a in enumerate(pool):
+        for j in range(i + 1, len(pool)):
+            b = pool[j]
+            joined = j in graph.neighbors[i]
+            assert joined == (
+                crosscorr_edop(table(a), table(b)).lambda_cxy <= threshold
+            )
+            if a.n == b.n:
+                assert joined == (
+                    max_cross(positions(a), positions(b), a.n) <= threshold
+                )
+
+
+@st.composite
+def candidate_sets(draw):
+    """A set of 1..4 complete codes of one (n, w) with its own cross ceiling."""
+    n = draw(st.integers(7, 31))
+    w = draw(st.integers(3, min(6, n - 1)))
+    lambda_c = draw(st.integers(1, w - 1))
+    codes = tuple(draw(st.lists(complete_codes(n, w), min_size=1, max_size=4)))
+    return CliqueSet(codes, CodeParams(n, w, 1, lambda_c), 0, 0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(candidate_sets(), max_size=6))
+def test_clique_set_matrix_matches_interset_crosscorr(sets):
+    matrix = clique_set_matrix(sets)
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            assert matrix.raw[i][j] == interset_crosscorr(a, b)
+            limit = min(a.params.lambda_c, b.params.lambda_c) + 1
+            assert matrix.normalized[i][j] == int(i != j and matrix.raw[i][j] <= limit)
+
+
+@st.composite
+def graphs(draw):
+    size = draw(st.integers(0, 14))
+    pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    adjacency = {v: set() for v in range(size)}
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    start = draw(st.none() | st.integers(0, size - 1)) if size else None
+    return adjacency, start
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_greedy_clique_matches_the_set_based_walk(case):
+    adjacency, start = case
+    size = len(adjacency)
+    graph = CodeGraph(
+        tuple(range(size)),
+        tuple(frozenset(adjacency[v]) for v in range(size)),
+        1,
+    )
+    assert greedy_clique(graph, start) == greedy_walk(adjacency, start)
