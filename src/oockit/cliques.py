@@ -168,7 +168,9 @@ def build_graph(codes, threshold: int) -> CodeGraph:
     neighbors = []
     for i, subsets in enumerate(owned):
         clash = reduce(or_, map(owners.__getitem__, subsets), 1 << i)
-        neighbors.append(frozenset(_members(everyone & ~clash, size)))
+        # Frozen from a set: the copy gets a compact table, where one
+        # grown from an iterator can take twice the memory.
+        neighbors.append(frozenset(set(_members(everyone & ~clash, size))))
     return CodeGraph(nodes, tuple(neighbors), threshold)
 
 
