@@ -19,9 +19,10 @@ masks intersect, and level 1 is the plain entry set.  `build_graph`
 keeps, per subset, the bitset of the codes owning it, so a code's
 non-neighbors are the union of a few ints; `clique_set_matrix` finds each
 inter-set peak by intersecting levels 1, 2, ... until one comes up
-empty.  A graph's adjacency is held as one int mask per node, so the
-walk scores a node with ``int.bit_count``.  Tables are built once per
-call, and nothing is kept between calls.
+empty.  A graph's adjacency is one int mask per node and nothing else:
+the walk scores a node with ``int.bit_count``, and the neighbor sets are
+only read off the masks on request.  Tables are built once per call, and
+nothing is kept between calls.
 
 The public correlation functions (`crosscorr_edop`,
 `interset_crosscorr`), set assembly (`make_clique_set`),
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations, compress
 from operator import or_
 
@@ -70,32 +71,37 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CodeGraph:
-    """Symmetric compatibility graph over a fixed node order."""
+    """Symmetric compatibility graph over a fixed node order.
+
+    Bit u of ``masks[v]`` marks the edge v-u.
+    """
 
     nodes: tuple
-    neighbors: tuple[frozenset[int], ...]
-    threshold: int
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for v, nbrs in enumerate(self.neighbors):
-            if v in nbrs:
+        size = len(self.nodes)
+        if len(self.masks) != size:
+            raise ValueError(f"{len(self.masks)} masks for {size} nodes")
+        if any(m < 0 for m in self.masks):
+            raise ValueError("masks must be non-negative")
+        if any(m >> size for m in self.masks):
+            raise ValueError(f"mask bits must lie below the {size} nodes")
+        # Bit-0-first rows of the adjacency matrix: column v is every
+        # size-th digit from v, so each check is one comparison in C.
+        rows = [format(m, f"0{size}b")[::-1] for m in self.masks]
+        matrix = "".join(rows)
+        for v, row in enumerate(rows):
+            if row[v] != "0":
                 raise ValueError("self loops are not allowed")
-            if any(v not in self.neighbors[u] for u in nbrs):
+            if matrix[v::size] != row:
                 raise ValueError("adjacency must be symmetric")
 
-    @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        """Neighbor sets as int bitsets: bit u of ``_masks[v]`` marks edge v-u."""
-        size = len(self.nodes)
-        return tuple(_bitset(nbrs, size) for nbrs in self.neighbors)
-
     @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+    def neighbors(self) -> tuple[frozenset[int], ...]:
+        """Neighbor sets read off the masks; the designer never builds them."""
         size = len(self.nodes)
-        return tuple(
-            tuple(1 if u in self.neighbors[v] else 0 for u in range(size))
-            for v in range(size)
-        )
+        return tuple(frozenset(_members(m, size)) for m in self.masks)
 
 
 def code_matrix(code: Dopr | PartialDopr | EdopMatrix) -> EdopMatrix:
@@ -107,26 +113,14 @@ def code_matrix(code: Dopr | PartialDopr | EdopMatrix) -> EdopMatrix:
     return edop_full(code)
 
 
-def _bitset(members, size: int) -> int:
-    """Int with bit i set for each i in ``members``, all below ``size``.
-
-    Parsed from a digit string: summing ``1 << i`` would cost a full-width
-    addition per member.
-    """
-    bits = bytearray(b"0") * size
-    for i in members:
-        bits[i] = 49  # ord("1")
-    return int(bits[::-1], 2) if size else 0
-
-
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _members(mask: int, size: int):
     """Ascending indices of the set bits of ``mask``, all below ``size``.
 
-    The inverse of `_bitset`, read off a digit string so that the scan
-    runs in C rather than as a Python step per bit.
+    Read off a digit string, so that the scan runs in C rather than as a
+    Python step per bit.
     """
     digits = format(mask, f"0{size}b")[::-1].encode().translate(_DIGITS)
     return compress(range(size), digits)
@@ -165,13 +159,11 @@ def build_graph(codes, threshold: int) -> CodeGraph:
         for b in subsets:
             owners[b] |= 1 << i
     everyone = (1 << size) - 1
-    neighbors = []
+    masks = []
     for i, subsets in enumerate(owned):
         clash = reduce(or_, map(owners.__getitem__, subsets), 1 << i)
-        # Frozen from a set: the copy gets a compact table, where one
-        # grown from an iterator can take twice the memory.
-        neighbors.append(frozenset(set(_members(everyone & ~clash, size))))
-    return CodeGraph(nodes, tuple(neighbors), threshold)
+        masks.append(everyone & ~clash)
+    return CodeGraph(nodes, tuple(masks))
 
 
 def greedy_clique(graph: CodeGraph, start: int | None = None) -> tuple[int, ...]:
@@ -181,11 +173,9 @@ def greedy_clique(graph: CodeGraph, start: int | None = None) -> tuple[int, ...]
     the lowest index) and restricts to its neighborhood; a selection of
     degree zero ends the walk.  ``start`` forces the first selection.
     """
-    if not graph.nodes:
-        return ()
-    if start is not None and not 0 <= start < len(graph.nodes):
+    masks, size = graph.masks, len(graph.nodes)
+    if start is not None and not 0 <= start < size:
         raise ValueError(f"start index {start} out of range")
-    masks, size = graph._masks, len(graph.nodes)
     active = (1 << size) - 1
     chosen: list[int] = []
     while active:
@@ -207,10 +197,8 @@ def enumerate_cliques(graph: CodeGraph) -> tuple[tuple[int, ...], ...]:
     Order follows the ascending start index, so the result is a
     deterministic function of the graph.
     """
-    if not graph.nodes:
-        return ()
-    degrees = [m.bit_count() for m in graph._masks]
-    top = max(degrees)
+    degrees = [m.bit_count() for m in graph.masks]
+    top = max(degrees, default=0)
     found: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
     for v, d in enumerate(degrees):
@@ -258,7 +246,7 @@ def max_clique_exact(graph: CodeGraph, size_cap: int) -> tuple[int, ...]:
         raise ValueError(
             "exact search is guarded to pools of <= 24 nodes or caps of <= 6"
         )
-    nbrs = graph.neighbors
+    masks = graph.masks
     best: tuple[int, ...] = ()
 
     def grow(base: list[int], cand: list[int]) -> None:
@@ -270,7 +258,7 @@ def max_clique_exact(graph: CodeGraph, size_cap: int) -> tuple[int, ...]:
         for idx, v in enumerate(cand):
             if len(base) + len(cand) - idx <= len(best):
                 return
-            grow(base + [v], [u for u in cand[idx + 1 :] if u in nbrs[v]])
+            grow(base + [v], [u for u in cand[idx + 1 :] if masks[v] >> u & 1])
 
     grow([], list(range(size)))
     return best
@@ -336,14 +324,12 @@ class CliqueSetMatrix:
     ``raw`` holds the inter-set peaks (the diagonal is the code weight,
     every set against itself); ``normalized`` marks acceptably separated
     pairs with 1 and zeroes the diagonal.  A pair is separated when its
-    peak is at most the stricter of the two sets' cross ceilings plus one;
-    ``threshold`` is the smallest such limit, min(lambda_c) + 1.
+    peak is at most the stricter of the two sets' cross ceilings plus one.
     """
 
     cliques: tuple[CliqueSet, ...]
     raw: tuple[tuple[int, ...], ...]
     normalized: tuple[tuple[int, ...], ...]
-    threshold: int
 
 
 def clique_set_matrix(cliques) -> CliqueSetMatrix:
@@ -379,12 +365,8 @@ def clique_set_matrix(cliques) -> CliqueSetMatrix:
             raw[i][j] = raw[j][i] = 1 + shared
             if j > i and raw[i][j] <= min(ceilings[i], ceilings[j]) + 1:
                 normalized[i][j] = normalized[j][i] = 1
-    threshold = min(ceilings, default=0) + 1
     return CliqueSetMatrix(
-        items,
-        tuple(tuple(r) for r in raw),
-        tuple(tuple(r) for r in normalized),
-        threshold,
+        items, tuple(tuple(r) for r in raw), tuple(tuple(r) for r in normalized)
     )
 
 
@@ -407,11 +389,10 @@ def select_family(cliques, max_sets: int | None = None) -> Family:
     """
     items = tuple(cliques)
     matrix = clique_set_matrix(items)
-    neighbors = tuple(
-        frozenset(j for j, flag in enumerate(row) if flag)
-        for row in matrix.normalized
+    masks = tuple(
+        int("".join(map(str, reversed(row))), 2) for row in matrix.normalized
     )
-    graph = CodeGraph(items, neighbors, matrix.threshold)
+    graph = CodeGraph(items, masks)
     chosen = sorted(
         greedy_clique(graph), key=lambda i: (_clique_key(items[i]), i)
     )[:max_sets]

@@ -35,14 +35,12 @@ from oracles import (
 )
 
 
-def graph_of(size, edges, threshold=1):
-    nbrs = [set() for _ in range(size)]
+def graph_of(size, edges):
+    masks = [0] * size
     for a, b in edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    return CodeGraph(
-        tuple(range(size)), tuple(frozenset(s) for s in nbrs), threshold
-    )
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return CodeGraph(tuple(range(size)), tuple(masks))
 
 
 def classes_as_codes(n, w, ceiling=None):
@@ -53,15 +51,35 @@ def classes_as_codes(n, w, ceiling=None):
 
 
 def test_graph_rejects_self_loops_and_asymmetry():
-    with pytest.raises(ValueError):
-        CodeGraph(("a",), (frozenset({0}),), 1)
-    with pytest.raises(ValueError):
-        CodeGraph(("a", "b"), (frozenset({1}), frozenset()), 1)
+    with pytest.raises(ValueError, match="self loops"):
+        CodeGraph(("a",), (0b1,))
+    with pytest.raises(ValueError, match="symmetric"):
+        CodeGraph(("a", "b"), (0b10, 0b00))
 
 
-def test_adjacency_matrix_mirrors_neighbor_sets():
+def test_graph_rejects_a_mask_count_that_differs_from_the_node_count():
+    with pytest.raises(ValueError, match="masks for 2 nodes"):
+        CodeGraph(("a", "b"), (0,))
+    with pytest.raises(ValueError, match="masks for 1 nodes"):
+        CodeGraph(("a",), (0, 0))
+
+
+def test_graph_rejects_negative_masks():
+    with pytest.raises(ValueError, match="non-negative"):
+        CodeGraph(("a", "b"), (-1, 0))
+
+
+def test_graph_rejects_bits_beyond_the_last_node():
+    with pytest.raises(ValueError, match="below the 1 nodes"):
+        CodeGraph(("a",), (1 << 5,))
+    with pytest.raises(ValueError, match="below the 2 nodes"):
+        CodeGraph(("a", "b"), (0b110, 0b001))
+
+
+def test_neighbor_sets_are_read_off_the_masks():
     g = graph_of(3, [(0, 1), (1, 2)])
-    assert g.adjacency == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
+    assert g.masks == (0b010, 0b101, 0b010)
+    assert g.neighbors == (frozenset({1}), frozenset({0, 2}), frozenset({1}))
 
 
 def test_build_graph_edges_match_the_definition():
@@ -94,6 +112,7 @@ def test_first_pair_graph_work_counts_are_exact(params, nodes, edges):
     graph = build_graph(enumerate_first_pairs(params), params.lambda_c)
     assert len(graph.nodes) == nodes
     assert sum(map(len, graph.neighbors)) // 2 == edges
+    assert sum(m.bit_count() for m in graph.masks) // 2 == edges
 
 
 def test_greedy_on_trivial_graphs():
@@ -117,6 +136,13 @@ def test_greedy_walk_on_a_path():
 def test_greedy_start_must_be_in_range():
     with pytest.raises(ValueError):
         greedy_clique(graph_of(2, [(0, 1)]), start=2)
+
+
+def test_greedy_start_is_checked_on_the_empty_graph_too():
+    with pytest.raises(ValueError, match="out of range"):
+        greedy_clique(graph_of(0, []), start=3)
+    with pytest.raises(ValueError, match="out of range"):
+        greedy_clique(graph_of(1, []), start=3)
 
 
 def test_greedy_results_on_random_graphs_are_maximal_cliques():
@@ -244,7 +270,6 @@ def test_clique_set_matrix_values():
     matrix = clique_set_matrix([a, b])
     assert matrix.raw == ((3, 2), (2, 3))  # diagonal is the weight
     assert matrix.normalized == ((0, 1), (1, 0))
-    assert matrix.threshold == 2
 
 
 def test_clique_set_matrix_limits_each_pair_by_its_stricter_ceiling():
@@ -255,7 +280,6 @@ def test_clique_set_matrix_limits_each_pair_by_its_stricter_ceiling():
     matrix = clique_set_matrix([loose, also_loose, strict])
     # identical codes peak at the weight 3, within 2 + 1 but not 1 + 1
     assert matrix.normalized == ((0, 1, 0), (1, 0, 0), (0, 0, 0))
-    assert matrix.threshold == 2
 
 
 def test_select_family_keeps_separated_sets():

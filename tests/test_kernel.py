@@ -1,13 +1,15 @@
 """The designer's int-bitset kernel against the independent routes.
 
-`build_graph`, `greedy_clique` and `clique_set_matrix` work on row masks
-and adjacency bitsets; here random inputs hold them to `crosscorr_edop`,
-`interset_crosscorr` and the plain-set oracles, which share no code with
-the kernel.
+`build_graph`, `greedy_clique` and `clique_set_matrix` work on subset
+masks and adjacency bitsets; here random inputs hold them to
+`crosscorr_edop`, `interset_crosscorr` and the plain-set oracles, which
+share no code with the kernel, and hold `CodeGraph`'s checks on its masks
+to the plain definition of a simple undirected graph.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oockit import (
@@ -98,6 +100,7 @@ def test_clique_set_matrix_matches_interset_crosscorr(sets):
 
 @st.composite
 def graphs(draw):
+    """Symmetric adjacency over 0..13 nodes, with an optional start node."""
     size = draw(st.integers(0, 14))
     pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -109,14 +112,38 @@ def graphs(draw):
     return adjacency, start
 
 
+def masks_of(adjacency):
+    return tuple(sum(1 << u for u in adjacency[v]) for v in range(len(adjacency)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(graphs())
 def test_greedy_clique_matches_the_set_based_walk(case):
     adjacency, start = case
-    size = len(adjacency)
-    graph = CodeGraph(
-        tuple(range(size)),
-        tuple(frozenset(adjacency[v]) for v in range(size)),
-        1,
-    )
+    graph = CodeGraph(tuple(range(len(adjacency))), masks_of(adjacency))
     assert greedy_clique(graph, start) == greedy_walk(adjacency, start)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.data())
+def test_graph_checks_on_masks_match_the_definition(case, data):
+    adjacency, _ = case
+    size = len(adjacency)
+    nodes, masks = tuple(range(size)), masks_of(adjacency)
+    graph = CodeGraph(nodes, masks)
+    assert graph.neighbors == tuple(
+        frozenset(u for u in nodes if m >> u & 1) for m in masks
+    )
+    if not size:
+        return
+    v = data.draw(st.integers(0, size - 1))
+    looped = list(masks)
+    looped[v] |= 1 << v
+    with pytest.raises(ValueError, match="self loops"):
+        CodeGraph(nodes, tuple(looped))
+    if size > 1:
+        u = data.draw(st.integers(0, size - 1).filter(lambda u: u != v))
+        flipped = list(masks)
+        flipped[v] ^= 1 << u
+        with pytest.raises(ValueError, match="symmetric"):
+            CodeGraph(nodes, tuple(flipped))

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
-import oockit  # noqa: F401
 import oockit.cli  # noqa: F401  (the benchmark imports it too; oockit does not)
+from oockit import CodeParams, build_graph, enumerate_first_pairs
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,3 +35,13 @@ def test_every_traced_name_exists_after_import():
     ]
     assert tracing.SPANS and tracing.COUNTERS
     assert missing == []
+
+
+def test_graph_counts_read_the_graph_the_designer_builds():
+    """The build_graph counter reads ``graph.nodes`` and ``graph.neighbors``."""
+    graph = build_graph(enumerate_first_pairs(CodeParams(25, 3, 1, 1)), 1)
+    counts = Counter()
+    load_tracing()._graph_counts(counts, (), {}, graph)
+    assert counts["cliques.build_graph.nodes"] == 110
+    assert counts["cliques.build_graph.pairs"] == 110 * 109 // 2
+    assert counts["cliques.build_graph.edges"] == 2172
