@@ -1,22 +1,28 @@
 """Correlation measures and the cardinality bound.
 
-Two routes exist for every correlation value.  The brute-force route slides
-one bit pattern over the other and counts coinciding one-bits per shift,
-straight from the definition.  The difference-table route intersects rows
-of the codes' tables: the peak non-trivial overlap is one more than the
-largest number of entries two rows share.  Both routes must agree, and the
-test suite holds them to that.
+Two routes exist for every correlation value.  The brute-force route reads
+the definition off the one-bit positions: a pair p of x and q of y
+coincides at exactly one shift, m = (q - p) mod n, so counting those
+differences gives the whole overlap profile, sparsely.  Its work is
+w_x * w_y per pair of codes, whatever n is, so a document's verify cost
+follows its size, not the length it declares.  The difference-table route
+intersects rows of the codes' tables: the peak non-trivial overlap is one
+more than the largest number of entries two rows share.  Both routes must
+agree, share no code, and the test suite holds them to that.
 
 Comparison counting is opt-in.  With ``count_comparisons=True`` the
-functions run the literal definition and tally every element comparison;
-the tallies are exact, never estimates, and the disabled counter is None.
+functions run the literal definition, sliding one bit pattern over the
+other through all n shifts, and tally every element comparison; the
+tallies are exact, never estimates, and the disabled counter is None.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
-from .codes import BinaryCode, Dopr, Wpr, dopr_from_wpr, wpr_from_binary, wpr_from_dopr
+from .codes import BinaryCode, Dopr, Wpr, wpr_from_binary, wpr_from_dopr
 from .edop import EdopMatrix, edop_full
 
 __all__ = [
@@ -35,20 +41,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Peak non-zero-shift self overlap of one code."""
+    """Peak non-zero-shift self overlap of one code.
+
+    The shift-counting route fills ``hits`` (shift -> overlap; a shift
+    it lacks has overlap 0) and ``n``; the table route leaves both None.
+    """
 
     lambda_ax: int
-    per_shift: tuple[int, ...] | None = None
+    hits: Mapping[int, int] | None = field(default=None, hash=False)
+    n: int | None = None
     comparisons: int | None = None
+
+    @property
+    def per_shift(self) -> tuple[int, ...] | None:
+        """Overlap at each shift 1..n-1; builds an n-long tuple on request."""
+        if self.hits is None:
+            return None
+        return tuple(self.hits.get(m, 0) for m in range(1, self.n))
 
 
 @dataclass(frozen=True)
 class CrossReport:
-    """Peak overlap between two codes over all shifts."""
+    """Peak overlap between two codes over all shifts.
+
+    ``hits`` and ``n`` are filled as in `CorrelationReport`.
+    """
 
     lambda_cxy: int
-    per_shift: tuple[int, ...] | None = None
+    hits: Mapping[int, int] | None = field(default=None, hash=False)
+    n: int | None = None
     comparisons: int | None = None
+
+    @property
+    def per_shift(self) -> tuple[int, ...] | None:
+        """Overlap at each shift 0..n-1; builds an n-long tuple on request."""
+        if self.hits is None:
+            return None
+        return tuple(self.hits.get(m, 0) for m in range(self.n))
 
 
 def _positions(code: BinaryCode | Wpr | Dopr) -> tuple[tuple[int, ...], int]:
@@ -74,7 +103,12 @@ def _as_matrix(code: EdopMatrix | Dopr) -> EdopMatrix:
 def autocorr_bruteforce(
     code: BinaryCode | Wpr | Dopr, *, count_comparisons: bool = False
 ) -> CorrelationReport:
-    """Definition-level self correlation: max over shifts m in [1, n-1]."""
+    """Definition-level self correlation: max over shifts m in [1, n-1].
+
+    Every ordered pair of distinct one-bits p, q coincides at shift
+    (q - p) mod n, so counting those shifts takes w(w-1) steps; shift 0,
+    where each bit meets itself, is not a correlation and is left out.
+    """
     positions, n = _positions(code)
     if len(positions) < 2:
         raise ValueError("auto-correlation needs weight >= 2")
@@ -91,12 +125,12 @@ def autocorr_bruteforce(
                 if bits[t] and bits[(t + m) % n]:
                     hits += 1
             profile.append(hits)
-        return CorrelationReport(max(profile), tuple(profile), comparisons)
-    member = frozenset(positions)
-    profile = tuple(
-        sum(1 for p in positions if (p + m) % n in member) for m in range(1, n)
-    )
-    return CorrelationReport(max(profile), profile, None)
+        return CorrelationReport(
+            max(profile), dict(enumerate(profile, 1)), n, comparisons
+        )
+    shifts = Counter((q - p) % n for p in positions for q in positions)
+    del shifts[0]
+    return CorrelationReport(max(shifts.values()), shifts, n)
 
 
 def crosscorr_bruteforce(
@@ -108,8 +142,10 @@ def crosscorr_bruteforce(
     """Definition-level cross correlation: max over shifts m in [0, n-1].
 
     Shift m overlaps x with y advanced by m, i.e. counts positions p of x
-    with p + m weighted in y.  Equal lengths only; unequal-length pairs go
-    through the difference-table route.
+    with p + m weighted in y.  Each pair p of x, q of y therefore adds one
+    to shift (q - p) mod n, and counting those shifts takes w_x * w_y
+    steps.  Equal lengths only; unequal-length pairs go through the
+    difference-table route.
     """
     xpos, xn = _positions(x)
     ypos, yn = _positions(y)
@@ -132,12 +168,9 @@ def crosscorr_bruteforce(
                 if xbits[t] and ybits[(t + m) % n]:
                     hits += 1
             profile.append(hits)
-        return CrossReport(max(profile), tuple(profile), comparisons)
-    member = frozenset(ypos)
-    profile = tuple(
-        sum(1 for p in xpos if (p + m) % n in member) for m in range(n)
-    )
-    return CrossReport(max(profile), profile, None)
+        return CrossReport(max(profile), dict(enumerate(profile)), n, comparisons)
+    shifts = Counter((q - p) % n for p in xpos for q in ypos)
+    return CrossReport(max(shifts.values()), shifts, n)
 
 
 def autocorr_edop(
@@ -165,14 +198,14 @@ def autocorr_edop(
                             shared += 1
                 if shared > best:
                     best = shared
-        return CorrelationReport(1 + best, None, comparisons)
+        return CorrelationReport(1 + best, comparisons=comparisons)
     sets = matrix.row_sets
     for i in range(len(sets)):
         for k in range(i + 1, len(sets)):
             shared = len(sets[i] & sets[k])
             if shared > best:
                 best = shared
-    return CorrelationReport(1 + best, None, None)
+    return CorrelationReport(1 + best)
 
 
 def crosscorr_edop(
@@ -202,13 +235,13 @@ def crosscorr_edop(
                             shared += 1
                 if shared > best:
                     best = shared
-        return CrossReport(1 + best, None, comparisons)
+        return CrossReport(1 + best, comparisons=comparisons)
     for sx in mx.row_sets:
         for sy in my.row_sets:
             shared = len(sx & sy)
             if shared > best:
                 best = shared
-    return CrossReport(1 + best, None, None)
+    return CrossReport(1 + best)
 
 
 def set_lambda_a(codes, *, method: str = "edop") -> int:

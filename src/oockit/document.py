@@ -15,6 +15,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cliques import Family
 from .codes import CodeParams, Dopr, _standard_rotation, wpr_from_dopr
@@ -273,6 +274,16 @@ def family_to_csv(doc: CodeSetDocument) -> str:
     return buf.getvalue()
 
 
+class _SetLevels(NamedTuple):
+    """A structurally sound set with each table level computed once."""
+
+    params: CodeParams
+    codes: tuple[Dopr, ...]
+    mats: tuple[EdopMatrix, ...]
+    auto: tuple[int, ...]  # per code
+    cross: dict[tuple[int, int], int]  # per in-set pair i < j
+
+
 @dataclass(frozen=True)
 class Check:
     """Outcome of one named verification rule."""
@@ -378,13 +389,24 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
                 )
     checks.append(Check("canonical-rotation", not problems, "; ".join(problems)))
 
-    # build validated codes for the correlation rules
-    valid: dict[int, tuple[CodeParams, tuple[Dopr, ...], tuple[EdopMatrix, ...]]] = {}
+    # build validated codes and their table levels for the correlation rules
+    valid: dict[int, _SetLevels] = {}
     for k, s in enumerate(doc.sets):
         if k in bad_sets:
             continue
         codes = tuple(Dopr(c.dopr, s.n) for c in s.codes)
-        valid[k] = (params_by_set[k], codes, tuple(edop_full(c) for c in codes))
+        mats = tuple(edop_full(c) for c in codes)
+        valid[k] = _SetLevels(
+            params_by_set[k],
+            codes,
+            mats,
+            tuple(autocorr_edop(m).lambda_ax for m in mats),
+            {
+                (i, j): crosscorr_edop(mats[i], mats[j]).lambda_cxy
+                for i in range(len(mats))
+                for j in range(i + 1, len(mats))
+            },
+        )
     skip_note = (
         f"sets {sorted(bad_sets)} not evaluated (structural failure)"
         if bad_sets
@@ -399,52 +421,49 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
 
     # auto-correlation-bound: each code meets the self-correlation ceiling
     problems = []
-    for k, (p, codes, mats) in valid.items():
-        for i, m in enumerate(mats):
-            level = autocorr_edop(m).lambda_ax
-            if level > p.lambda_a:
+    for k, v in valid.items():
+        ceiling = v.params.lambda_a
+        for i, level in enumerate(v.auto):
+            if level > ceiling:
                 problems.append(
-                    f"set {k} code {i}: self correlation {level} exceeds {p.lambda_a}"
+                    f"set {k} code {i}: self correlation {level} exceeds {ceiling}"
                 )
     finish("auto-correlation-bound", problems)
 
     # method-agreement: shift counting and table overlap agree
     problems = []
-    for k, (p, codes, mats) in valid.items():
-        for i, (code, m) in enumerate(zip(codes, mats)):
+    for k, v in valid.items():
+        for i, (code, table) in enumerate(zip(v.codes, v.auto)):
             brute = autocorr_bruteforce(code).lambda_ax
-            table = autocorr_edop(m).lambda_ax
             if brute != table:
                 problems.append(
                     f"set {k} code {i}: self correlation {brute} by shifts, {table} by tables"
                 )
-        for i in range(len(codes)):
-            for j in range(i + 1, len(codes)):
-                brute = crosscorr_bruteforce(codes[i], codes[j]).lambda_cxy
-                table = crosscorr_edop(mats[i], mats[j]).lambda_cxy
-                if brute != table:
-                    problems.append(
-                        f"set {k} codes {i},{j}: cross {brute} by shifts, {table} by tables"
-                    )
+        for (i, j), table in v.cross.items():
+            brute = crosscorr_bruteforce(v.codes[i], v.codes[j]).lambda_cxy
+            if brute != table:
+                problems.append(
+                    f"set {k} codes {i},{j}: cross {brute} by shifts, {table} by tables"
+                )
     finish("method-agreement", problems)
 
     # cross-correlation-bound: every pair meets the cross ceiling
     problems = []
-    for k, (p, codes, mats) in valid.items():
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                level = crosscorr_edop(mats[i], mats[j]).lambda_cxy
-                if level > p.lambda_c:
-                    problems.append(
-                        f"set {k} codes {i},{j}: cross correlation {level} exceeds {p.lambda_c}"
-                    )
+    for k, v in valid.items():
+        ceiling = v.params.lambda_c
+        for (i, j), level in v.cross.items():
+            if level > ceiling:
+                problems.append(
+                    f"set {k} codes {i},{j}: cross correlation {level} exceeds {ceiling}"
+                )
     finish("cross-correlation-bound", problems)
 
     # shared-difference: unit-cross sets must not share any table entry
     problems = []
     applicable = False
-    for k, (p, codes, mats) in valid.items():
-        if p.lambda_c != 1 or len(mats) < 2:
+    for k, v in valid.items():
+        mats = v.mats
+        if v.params.lambda_c != 1 or len(mats) < 2:
             continue
         applicable = True
         for i in range(len(mats)):
@@ -465,8 +484,8 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
 
     # set-size-bound: stored bound is correct and respected
     problems = []
-    for k, (p, codes, mats) in valid.items():
-        s = doc.sets[k]
+    for k, v in valid.items():
+        p, s = v.params, doc.sets[k]
         expected = johnson_bound(p.n, p.w, max(p.lambda_a, p.lambda_c))
         if s.bound != expected:
             problems.append(f"set {k}: stored bound {s.bound}, recomputed {expected}")
@@ -478,8 +497,8 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
 
     # stored-auto-correlation: recorded set level matches recomputation
     problems = []
-    for k, (p, codes, mats) in valid.items():
-        level = max(autocorr_edop(m).lambda_ax for m in mats)
+    for k, v in valid.items():
+        level = max(v.auto)
         if doc.sets[k].verified_lambda_a != level:
             problems.append(
                 f"set {k}: stored {doc.sets[k].verified_lambda_a}, recomputed {level}"
@@ -488,15 +507,8 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
 
     # stored-cross-correlation: recorded pairwise level matches recomputation
     problems = []
-    for k, (p, codes, mats) in valid.items():
-        if len(mats) < 2:
-            level = 0
-        else:
-            level = max(
-                crosscorr_edop(mats[i], mats[j]).lambda_cxy
-                for i in range(len(mats))
-                for j in range(i + 1, len(mats))
-            )
+    for k, v in valid.items():
+        level = max(v.cross.values(), default=0)
         if doc.sets[k].verified_lambda_c != level:
             problems.append(
                 f"set {k}: stored {doc.sets[k].verified_lambda_c}, recomputed {level}"
@@ -508,9 +520,9 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
     keys = sorted(valid)
     peak = 0
     for a_pos, ka in enumerate(keys):
-        pa, _, mats_a = valid[ka]
+        pa, mats_a = valid[ka].params, valid[ka].mats
         for kb in keys[a_pos + 1 :]:
-            pb, _, mats_b = valid[kb]
+            pb, mats_b = valid[kb].params, valid[kb].mats
             level = max(
                 crosscorr_edop(ma, mb).lambda_cxy for ma in mats_a for mb in mats_b
             )

@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oockit import (
     BinaryCode,
@@ -15,6 +16,7 @@ from oockit import (
     autocorr_edop,
     crosscorr_bruteforce,
     crosscorr_edop,
+    binary_from_wpr,
     dopr_from_wpr,
     edop_full,
     interset_crosscorr,
@@ -190,3 +192,62 @@ def test_edop_route_accepts_prebuilt_matrices():
     mx = edop_full(Dopr((2, 3, 4, 4), 13))
     assert autocorr_edop(mx).lambda_ax == 2
     assert crosscorr_edop(mx, mx).lambda_cxy == 4
+
+
+REPRESENTATIONS = {"binary": binary_from_wpr, "wpr": lambda c: c, "dopr": dopr_from_wpr}
+
+
+def bits_of(code):
+    """The bit pattern a code stands for; a Dopr is anchored at position 0."""
+    if isinstance(code, BinaryCode):
+        return code.bits
+    if isinstance(code, Dopr):
+        positions = itertools.accumulate(code.dops[:-1], initial=0)
+    else:
+        positions = code.positions
+    return bits_from_positions(positions, code.n)
+
+
+def draw_code(data, n, min_weight):
+    positions = data.draw(
+        st.sets(st.integers(0, n - 1), min_size=min_weight, max_size=n)
+    )
+    kind = data.draw(st.sampled_from(sorted(REPRESENTATIONS)))
+    return REPRESENTATIONS[kind](Wpr(tuple(sorted(positions)), n))
+
+
+@given(st.data())
+def test_pair_counting_auto_profile_matches_the_definition(data):
+    n = data.draw(st.integers(2, 64))
+    code = draw_code(data, n, 2)
+    expected = auto_profile(bits_of(code))
+    report = autocorr_bruteforce(code)
+    assert report.per_shift == expected
+    assert report.lambda_ax == max(expected)
+    literal = autocorr_bruteforce(code, count_comparisons=True)
+    assert (literal.lambda_ax, literal.per_shift) == (report.lambda_ax, expected)
+
+
+@given(st.data())
+def test_pair_counting_cross_profile_matches_the_definition(data):
+    n = data.draw(st.integers(2, 64))
+    x = draw_code(data, n, 1)
+    y = draw_code(data, n, 1)
+    expected = cross_profile(bits_of(x), bits_of(y))
+    report = crosscorr_bruteforce(x, y)
+    assert report.per_shift == expected
+    assert report.lambda_cxy == max(expected)
+    literal = crosscorr_bruteforce(x, y, count_comparisons=True)
+    assert (literal.lambda_cxy, literal.per_shift) == (report.lambda_cxy, expected)
+
+
+def test_profiles_stay_sparse_until_asked_for():
+    n = 10**12 + 39
+    x = Dopr((1, 2, n - 3), n)
+    y = Dopr((4, 8, n - 12), n)
+    # w(w-1) ordered pairs of distinct one-bits, all at different shifts.
+    shifts = (1, 2, 3, n - 3, n - 2, n - 1)
+    assert autocorr_bruteforce(x).hits == dict.fromkeys(shifts, 1)
+    assert len(crosscorr_bruteforce(x, y).hits) == 9
+    assert autocorr_edop(x).per_shift is None
+    assert crosscorr_edop(x, y).per_shift is None

@@ -6,16 +6,26 @@ import json
 
 import pytest
 
+import oockit.document
 from oockit import (
     CodeParams,
+    CorrelationReport,
+    CrossReport,
     DocumentError,
+    Dopr,
+    autocorr_bruteforce,
     design_fixed,
     document_from_family,
     family_to_csv,
     from_json,
+    standardize,
     to_canonical_json,
     verify_document,
+    wpr_from_dopr,
 )
+from oockit.document import CodeSetDocument, DocumentCode, DocumentSet
+
+from oracles import nested_floor_bound
 
 DOC7 = document_from_family(design_fixed(CodeParams(7, 3, 1, 1)))
 DOC13 = document_from_family(design_fixed(CodeParams(13, 4, 1, 1)))
@@ -293,3 +303,82 @@ def test_method_agreement_passes_even_on_tampered_codes():
     payload["sets"][0]["verified_lambda_a"] = 2
     report = verify_document(doc_from_payload(payload))
     assert {c.rule: c.passed for c in report.checks}["method-agreement"]
+
+
+# A prime-sized length no bit pattern could be built for.
+HUGE_N = 10**12 + 39
+
+
+def weight3_document(differences, lambda_a, verified_lambda_a, verified_lambda_c):
+    n = HUGE_N
+    codes = tuple(standardize(Dopr(d, n)) for d in differences)
+    return CodeSetDocument(
+        format_version="1",
+        tool="oockit",
+        version="0.1.0",
+        config={},
+        family_interset_lambda=0,
+        sets=(
+            DocumentSet(
+                n=n,
+                w=3,
+                lambda_a=lambda_a,
+                lambda_c=1,
+                bound=nested_floor_bound(n, 3, max(lambda_a, 1)),
+                verified_lambda_a=verified_lambda_a,
+                verified_lambda_c=verified_lambda_c,
+                codes=tuple(
+                    DocumentCode(c.dops, wpr_from_dopr(c).positions) for c in codes
+                ),
+            ),
+        ),
+    )
+
+
+def test_huge_declared_length_verifies_clean():
+    # Verify's work follows the stored codes, not the declared n: the
+    # shift-counting route counts one-bit pairs, so this finishes at once.
+    n = HUGE_N
+    doc = weight3_document(
+        [(1, 2, n - 3), (4, 8, n - 12), (5, 9, n - 14)],
+        lambda_a=1,
+        verified_lambda_a=1,
+        verified_lambda_c=1,
+    )
+    report = verify_document(from_json(to_canonical_json(doc)))
+    assert report.ok, report.failures()
+
+
+def test_huge_declared_length_still_finds_a_self_correlation_peak():
+    # Two equal gaps a put two one-bits on top of two others at shift a,
+    # however long the code: the peak of 2 must be found at this n too.
+    n, a = HUGE_N, 7
+    code = standardize(Dopr((a, a, n - 2 * a), n))
+    assert autocorr_bruteforce(code).lambda_ax == 2
+    doc = weight3_document(
+        [code.dops], lambda_a=1, verified_lambda_a=2, verified_lambda_c=0
+    )
+    assert failed_rules(from_json(to_canonical_json(doc))) == {
+        "auto-correlation-bound"
+    }
+
+
+def test_method_agreement_compares_every_code_and_pair(monkeypatch):
+    # Skew the shift-counting route by one; the rule must then name every
+    # code and every in-set pair, each against its table value.
+    monkeypatch.setattr(
+        oockit.document,
+        "autocorr_bruteforce",
+        lambda code: CorrelationReport(autocorr_bruteforce(code).lambda_ax + 1),
+    )
+    monkeypatch.setattr(
+        oockit.document, "crosscorr_bruteforce", lambda x, y: CrossReport(9)
+    )
+    report = verify_document(DOC25)
+    assert {c.rule for c in report.failures()} == {"method-agreement"}
+    detail = {c.rule: c.detail for c in report.checks}["method-agreement"]
+    sizes = [len(s.codes) for s in DOC25.sets]
+    assert detail.count("self correlation 2 by shifts, 1 by tables") == sum(sizes)
+    assert detail.count("cross 9 by shifts, 1 by tables") == sum(
+        k * (k - 1) // 2 for k in sizes
+    )
