@@ -128,13 +128,13 @@ def cmd_design(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        text = Path(args.document).read_text(encoding="utf-8")
+        data = Path(args.document).read_bytes()
     except OSError as exc:
         print(f"cannot read {args.document}: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        document = from_json(text)
-    except DocumentError as exc:
+        document = from_json(data.decode("utf-8"))
+    except (UnicodeDecodeError, DocumentError) as exc:
         print(f"FAIL document-format: {exc}")
         return EXIT_VERIFY_FAILED
     report = verify_document(document)

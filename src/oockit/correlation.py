@@ -244,37 +244,25 @@ def crosscorr_edop(
     return CrossReport(1 + best)
 
 
-def set_lambda_a(codes, *, method: str = "edop") -> int:
+def set_lambda_a(codes) -> int:
     """Largest self correlation across a set of codes."""
     codes = list(codes)
     if not codes:
         raise ValueError("set correlation needs at least one code")
-    if method == "edop":
-        return max(autocorr_edop(c).lambda_ax for c in codes)
-    if method == "bruteforce":
-        return max(autocorr_bruteforce(c).lambda_ax for c in codes)
-    raise ValueError(f"unknown method {method!r}")
+    return max(autocorr_edop(c).lambda_ax for c in codes)
 
 
-def set_lambda_c(codes, *, method: str = "edop") -> int:
+def set_lambda_c(codes) -> int:
     """Largest pairwise cross correlation across a set of codes."""
     codes = list(codes)
     if len(codes) < 2:
         raise ValueError("set cross correlation needs at least two codes")
-    if method == "edop":
-        mats = [_as_matrix(c) for c in codes]
-        return max(
-            crosscorr_edop(mats[i], mats[k]).lambda_cxy
-            for i in range(len(mats))
-            for k in range(i + 1, len(mats))
-        )
-    if method == "bruteforce":
-        return max(
-            crosscorr_bruteforce(codes[i], codes[k]).lambda_cxy
-            for i in range(len(codes))
-            for k in range(i + 1, len(codes))
-        )
-    raise ValueError(f"unknown method {method!r}")
+    mats = [_as_matrix(c) for c in codes]
+    return max(
+        crosscorr_edop(mats[i], mats[k]).lambda_cxy
+        for i in range(len(mats))
+        for k in range(i + 1, len(mats))
+    )
 
 
 def interset_crosscorr(a, b) -> int:

@@ -4,9 +4,10 @@ Codes are built one difference at a time.  Opening pairs that respect the
 positional ranges and the self-correlation ceiling seed a pool; each stage
 links compatible partial codes into a graph, harvests greedy cliques, and
 grows every clique member by one more difference.  Once a single free
-position remains, the closing difference is forced by the length, the
-completed codes are re-checked and put in canonical rotation, and the
-surviving sets compete for membership in the emitted family.
+position remains, the closing difference is forced by the length: each
+member is completed, put in canonical rotation and kept once per rotation
+class, the last graph is built on those complete codes, and its cliques
+compete for membership in the emitted family.
 """
 
 from __future__ import annotations
@@ -27,17 +28,19 @@ from .codes import (
     CodeParams,
     Dopr,
     PartialDopr,
+    StandardDopr,
     last_difference_range,
     max_difference_at,
     standardize,
 )
 from .correlation import autocorr_edop
-from .edop import edop_full, edop_partial
+from .edop import edop_partial
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
-# two names on this module, so they must stay importable from it.
+# three names on this module, so they must stay importable from it.
 from .cliques import greedy_clique  # noqa: F401
 from .correlation import interset_crosscorr  # noqa: F401
+from .edop import edop_full  # noqa: F401
 
 __all__ = [
     "DesignConfig",
@@ -119,27 +122,6 @@ def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
     return tuple(out)
 
 
-def _dedup_by_class(pool, n: int):
-    """One representative per rotation class, first occurrence kept.
-
-    The positional ranges prune most rotational duplicates from a pool but
-    not all of them.  Duplicates are poison for the degree-greedy walk:
-    copies of one class are mutually non-adjacent yet share all other
-    neighbors, so they inflate the degrees of everything around them and
-    steer the walk away from large cliques.  Applied where members are one
-    difference short of complete, so the class is already determined.
-    """
-    kept = []
-    seen: set[tuple[int, ...]] = set()
-    for member in pool:
-        closed = Dopr(member.dops + (n - sum(member.dops),), n)
-        key = standardize(closed).dops
-        if key not in seen:
-            seen.add(key)
-            kept.append(member)
-    return tuple(kept)
-
-
 def _capped(cliques, max_sets: int | None):
     """Keep the largest cliques, earliest-found first on ties."""
     if max_sets is None or len(cliques) <= max_sets:
@@ -149,19 +131,28 @@ def _capped(cliques, max_sets: int | None):
     return tuple(cliques[i] for i in keep)
 
 
-def _finalize_clique(members, params: CodeParams) -> CliqueSet | None:
-    """Close, re-check, and canonicalize one clique of near-complete codes.
+def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
+    """Complete codes of a pool one difference short, one per rotation class.
 
-    A closing difference that lands outside the canonical last-position
-    range is logged and the code is re-rotated into canonical form rather
-    than thrown away; discarding it would leave the other emitted sets
-    extendable by the discarded class.
+    Each member is closed with the difference the length forces and put in
+    canonical rotation; the first code of each class in pool order is kept.
+    The members already meet the self-correlation ceiling, because a
+    partial code's table at u = w-1 is the complete code's table.
+
+    The positional ranges prune most rotational duplicates from a pool but
+    not all of them.  Duplicates are poison for the degree-greedy walk:
+    copies of one class are mutually non-adjacent yet share all other
+    neighbors, so they inflate the degrees of everything around them and
+    steer the walk away from large cliques.  A closing difference that
+    lands outside the canonical last-position range is logged and the code
+    is re-rotated rather than thrown away; discarding it would leave the
+    other emitted sets extendable by the discarded class.
     """
     n, w = params.n, params.w
     lo, hi = last_difference_range(n, w)
-    completed: list = []
+    closed: list[StandardDopr] = []
     seen: set[tuple[int, ...]] = set()
-    for member in members:
+    for member in pool:
         closing = n - sum(member.dops)
         if not lo <= closing <= hi:
             log.debug(
@@ -172,16 +163,11 @@ def _finalize_clique(members, params: CodeParams) -> CliqueSet | None:
                 lo,
                 hi,
             )
-        code = Dopr(member.dops + (closing,), n)
-        if autocorr_edop(edop_full(code)).lambda_ax > params.lambda_a:
-            continue
-        standard = standardize(code)
-        if standard.dops not in seen:
-            seen.add(standard.dops)
-            completed.append(standard)
-    if not completed:
-        return None
-    return make_clique_set(completed, params)
+        code = standardize(Dopr(member.dops + (closing,), n))
+        if code.dops not in seen:
+            seen.add(code.dops)
+            closed.append(code)
+    return tuple(closed)
 
 
 def design_fixed(params: CodeParams, max_sets: int | None = None) -> Family:
@@ -205,17 +191,16 @@ def design_fixed(params: CodeParams, max_sets: int | None = None) -> Family:
         if not pool:
             continue
         pool = tuple(sorted(pool, key=lambda c: c.dops))
-        if pool[0].u == params.w - 1:
-            pool = _dedup_by_class(pool, params.n)
+        final = pool[0].u == params.w - 1
+        if final:
+            pool = _close_pool(pool, params)
         graph = build_graph(pool, params.lambda_c)
         for clique in _capped(enumerate_cliques(graph), max_sets):
             members = tuple(pool[i] for i in sorted(clique))
-            if members[0].u < params.w - 1:
+            if not final:
                 pools.append(extend_clique_codes(members, params))
                 continue
-            done = _finalize_clique(members, params)
-            if done is None:
-                continue
+            done = make_clique_set(members, params)
             key = (done.params, tuple(c.dops for c in done.codes))
             if key not in emitted:
                 emitted.add(key)

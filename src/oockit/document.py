@@ -185,7 +185,9 @@ def from_json(text: str) -> CodeSetDocument:
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integer literals past the
+        # interpreter's digit limit; RecursionError, nesting past its depth.
         raise DocumentError(f"not valid JSON: {exc}") from None
     top = _object(
         payload,

@@ -35,12 +35,11 @@ class EdopMatrix:
 
     A weight-w code yields w rows of w-1 strictly increasing entries in
     [1, n-1].  A partial code with u known differences yields the table of
-    its closed weight-(u+1) companion, flagged partial.
+    its closed weight-(u+1) companion.
     """
 
     rows: tuple[tuple[int, ...], ...]
     n: int
-    partial: bool = False
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -110,7 +109,7 @@ def edop_partial(partial: PartialDopr) -> EdopMatrix:
     """
     closing = partial.n - sum(partial.dops)
     closed = partial.dops + (closing,)
-    return EdopMatrix(_anchored_rows(closed), partial.n, partial=True)
+    return EdopMatrix(_anchored_rows(closed), partial.n)
 
 
 def zero_augment(matrix: EdopMatrix) -> ZeroAugmentedEdop:

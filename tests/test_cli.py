@@ -12,6 +12,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from oockit import from_json
 
 RULES = (
@@ -140,6 +142,24 @@ def test_verify_non_json_exits_3(tmp_path):
     result = run("verify", str(bad))
     assert result.returncode == 3
     assert "FAIL document-format" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe{}",
+        b"[" * 100_000 + b"]" * 100_000,  # past the parser's recursion limit
+        b'{"format_version": ' + b"7" * 5000 + b"}",  # past the 4300-digit limit
+    ],
+    ids=["not-utf8", "deep-nesting", "huge-integer"],
+)
+def test_verify_unreadable_document_exits_3(tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    result = run("verify", str(bad))
+    assert result.returncode == 3
+    assert result.stdout.startswith("FAIL document-format:")
+    assert result.stderr == ""
 
 
 def test_verify_tampered_document_exits_3(tmp_path):

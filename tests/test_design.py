@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oockit import (
     CodeParams,
@@ -11,14 +12,18 @@ from oockit import (
     Wpr,
     design_fixed,
     design_multi,
+    document_from_family,
     dopr_from_wpr,
     enumerate_first_pairs,
     extend_clique_codes,
+    from_json,
     interset_crosscorr,
     johnson_bound,
     last_difference_range,
     max_difference_at,
     standardize,
+    to_canonical_json,
+    verify_document,
     wpr_from_dopr,
 )
 
@@ -236,3 +241,31 @@ def test_dedup_by_class_feeds_the_final_stage():
     for s in family.sets:
         for code in s.codes:
             assert code.dops in pool_keys
+
+
+@st.composite
+def small_params(draw):
+    """A tuple with w 3..5, n up to 31 and each ceiling 1 or 2, unequal allowed."""
+    w = draw(st.integers(3, 5))
+    return CodeParams(
+        draw(st.integers(w + 1, 31)),
+        w,
+        draw(st.sampled_from((1, 2))),
+        draw(st.sampled_from((1, 2))),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_params(), min_size=1, max_size=2))
+def test_designed_documents_verify_clean_and_meet_their_ceilings(parameter_list):
+    if len(parameter_list) == 1:
+        family = design_fixed(parameter_list[0], max_sets=2)
+    else:
+        family = design_multi(DesignConfig(parameter_list, max_sets=2))
+    doc = from_json(to_canonical_json(document_from_family(family)))
+    assert verify_document(doc).failures() == ()
+    for s in doc.sets:
+        for i, a in enumerate(s.codes):
+            assert max_auto(a.wpr, s.n) <= s.lambda_a
+            for b in s.codes[i + 1 :]:
+                assert max_cross(a.wpr, b.wpr, s.n) <= s.lambda_c

@@ -31,7 +31,6 @@ def test_full_table_of_the_worked_code():
     )
     assert table.n == 13
     assert table.weight == 4
-    assert not table.partial
 
 
 def test_full_table_matches_oracle_exhaustively():
@@ -52,7 +51,6 @@ def test_full_table_rejects_weight_one():
 def test_partial_table_is_the_closed_companion_table():
     # (2, 3) at n=13, w=4 closes to the weight-3 code (2, 3, 8).
     partial = edop_partial(PartialDopr((2, 3), 13, 4))
-    assert partial.partial
     assert partial.rows == edop_full(Dopr((2, 3, 8), 13)).rows
 
 
