@@ -105,6 +105,8 @@ def test_build_graph_rejects_silly_thresholds():
     [
         (CodeParams(25, 3, 1, 1), 110, 2172),
         (CodeParams(19, 4, 2, 2), 56, 1525),
+        (CodeParams(25, 4, 2, 2), 110, 5960),
+        (CodeParams(25, 5, 2, 2), 90, 3990),
     ],
 )
 def test_first_pair_graph_work_counts_are_exact(params, nodes, edges):
@@ -113,6 +115,26 @@ def test_first_pair_graph_work_counts_are_exact(params, nodes, edges):
     assert len(graph.nodes) == nodes
     assert sum(map(len, graph.neighbors)) // 2 == edges
     assert sum(m.bit_count() for m in graph.masks) // 2 == edges
+
+
+@pytest.mark.parametrize(
+    "params,starts,sizes",
+    [
+        (CodeParams(25, 4, 2, 2), 70, [85]),
+        (CodeParams(25, 5, 2, 2), 72, [79]),
+        (CodeParams(19, 4, 2, 2), 38, [45]),
+    ],
+)
+def test_near_complete_opening_graph_walks_are_exact(params, starts, sizes):
+    """Every top-degree walk of these λ_c = 2 opening graphs ends on one clique.
+
+    Most of their nodes are joined to every other node, so each walk takes
+    them all; the walks from the many starts share one result.
+    """
+    graph = build_graph(enumerate_first_pairs(params), params.lambda_c)
+    degrees = [m.bit_count() for m in graph.masks]
+    assert degrees.count(max(degrees)) == starts
+    assert [len(c) for c in enumerate_cliques(graph)] == sizes
 
 
 def test_greedy_on_trivial_graphs():

@@ -6,8 +6,9 @@ family selection that alters an emitted document is caught.  The first
 group is every key of ``perfbench/pins.json``, read from that file, whose
 keys spell the design call (``n,w,lambda_a,lambda_c`` tuples joined by
 ``+``, then an optional ``/max_sets=k``); the second covers merges of
-tuples with different cross ceilings and ``--max-sets`` caps applied
-after a merge, which no benchmark pin exercises.
+tuples with different cross ceilings, ``--max-sets`` caps applied
+after a merge, and w = 3 graphs whose many top-degree walks share their
+tails, which no benchmark pin exercises.
 """
 
 from __future__ import annotations
@@ -64,6 +65,15 @@ PINS |= {
         ["--n", "19", "--w", "4", "--lambda-a", "2", "--lambda-c", "2",
          "--max-sets", "2"],
         "fea2ebe65a5b59cf25a27a476cd36d631dcfabc72b93f594ccf8fe190e77c2a4",
+    ),
+    # Many top-degree starts per graph: these guard walks that share tails.
+    "43,3,1,1": (
+        ["--n", "43", "--w", "3"],
+        "032079daa2aa35691e1336842d3050c59f5277a38e320dbaf329b08bd274ef20",
+    ),
+    "55,3,1,1": (
+        ["--n", "55", "--w", "3"],
+        "feeda63a0ab0eb6c322b5157fe1db1948a84cc26dd97038478be5edfe88929d3",
     ),
 }
 
