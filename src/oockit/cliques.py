@@ -9,6 +9,14 @@ clique; enumerating one walk per highest-degree start node yields the
 candidate sets, and a guarded exact search exists to keep the greedy
 answers honest in tests.
 
+Two facts make the walk cheap on dense graphs without changing what it
+selects.  A node joined to every other working node stays so while the
+working set shrinks, so the walk takes all such nodes in one step, in
+ascending order, as single steps would.  And a step depends only on the
+working set, so within one `enumerate_cliques` call a map from working
+set to the rest of its walk lets walks from different starts that reach
+the same set share its tail; the map lives only for that call.
+
 The designer's graph build, clique walk and family selection share one
 int-bitset kernel.  Two rows of difference tables share k or more entries
 exactly when they have a k-entry subset in common.  So each call numbers
@@ -166,45 +174,79 @@ def build_graph(codes, threshold: int) -> CodeGraph:
     return CodeGraph(nodes, tuple(masks))
 
 
+def _walk(masks, size: int, active: int, tails: dict) -> tuple[int, ...]:
+    """Greedy selections from the working node set ``active`` to the end.
+
+    A node whose score is len(active) - 1 is joined to every other active
+    node, and stays so as the active set shrinks, so the one-node walk
+    would take all such nodes in a row, lowest index first: they are
+    taken in one step.  A step depends only on the active set, so
+    ``tails`` maps each active set met to the rest of its walk, and a walk
+    that meets one already in it ends with the stored tail.
+    """
+    chosen: list[int] = []
+    met: list[tuple[int, int]] = []
+    while active:
+        tail = tails.get(active)
+        if tail is not None:
+            chosen.extend(tail)
+            break
+        met.append((active, len(chosen)))
+        members = list(_members(active, size))
+        scores = list(
+            map(int.bit_count, map(active.__and__, map(masks.__getitem__, members)))
+        )
+        top = max(scores)
+        if top == len(members) - 1:
+            batch = list(compress(members, map(top.__eq__, scores)))
+            chosen.extend(batch)
+            active &= ~sum(1 << v for v in batch)
+        else:
+            # ``members`` ascends and index finds the first top score.
+            pick = members[scores.index(top)]
+            chosen.append(pick)
+            active &= masks[pick]
+    walk = tuple(chosen)
+    for key, offset in met:
+        tails[key] = walk[offset:]
+    return walk
+
+
 def greedy_clique(graph: CodeGraph, start: int | None = None) -> tuple[int, ...]:
     """Degree-greedy maximal clique, as node indices in selection order.
 
     Repeatedly selects a highest-degree node of the working graph (ties to
     the lowest index) and restricts to its neighborhood; a selection of
     degree zero ends the walk.  ``start`` forces the first selection.
+    Nodes joined to every other working node are selected together, in
+    ascending order, which is the order the one-node steps would give.
     """
     masks, size = graph.masks, len(graph.nodes)
     if start is not None and not 0 <= start < size:
         raise ValueError(f"start index {start} out of range")
-    active = (1 << size) - 1
-    chosen: list[int] = []
-    while active:
-        if not chosen and start is not None:
-            pick = start
-        else:
-            # ``members`` ascends and index finds the first top score.
-            members = list(_members(active, size))
-            scores = [(masks[v] & active).bit_count() for v in members]
-            pick = members[scores.index(max(scores))]
-        chosen.append(pick)
-        active &= masks[pick]
-    return tuple(chosen)
+    if start is None:
+        return _walk(masks, size, (1 << size) - 1, {})
+    return (start, *_walk(masks, size, masks[start], {}))
 
 
 def enumerate_cliques(graph: CodeGraph) -> tuple[tuple[int, ...], ...]:
     """One greedy run per highest-degree start node, de-duplicated.
 
     Order follows the ascending start index, so the result is a
-    deterministic function of the graph.
+    deterministic function of the graph.  The runs of one call share a
+    map from each working node set to the rest of its walk, so walks that
+    reach the same set are finished once.
     """
-    degrees = [m.bit_count() for m in graph.masks]
+    masks, size = graph.masks, len(graph.nodes)
+    degrees = [m.bit_count() for m in masks]
     top = max(degrees, default=0)
+    tails: dict[int, tuple[int, ...]] = {}
     found: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
     for v, d in enumerate(degrees):
         if d != top:
             continue
-        clique = greedy_clique(graph, start=v)
+        clique = (v, *_walk(masks, size, masks[v], tails))
         key = frozenset(clique)
         if key not in seen:
             seen.add(key)

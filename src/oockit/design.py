@@ -214,12 +214,13 @@ def design_multi(config: DesignConfig) -> Family:
     Each tuple's family is designed on its own; all of their sets then
     compete in one `select_family` call, where two sets are compatible
     when their inter-set peak is at most the stricter of their two cross
-    ceilings plus one.  ``max_sets`` caps each tuple's family and the
-    merged one.
+    ceilings plus one.  A repeated tuple is designed once, in first-seen
+    order, so it adds no second copy of its sets to the merge.
+    ``max_sets`` caps each tuple's family and the merged one.
     """
     pool = [
         s
-        for params in config.parameter_list
+        for params in dict.fromkeys(config.parameter_list)
         for s in design_fixed(params, config.max_sets).sets
     ]
     return select_family(pool, config.max_sets)

@@ -133,6 +133,24 @@ def greedy_walk(adjacency, start=None):
     return tuple(chosen)
 
 
+def greedy_walks(adjacency):
+    """One `greedy_walk` per highest-degree start, in ascending start order.
+
+    Only the first walk to reach each member set is kept.
+    """
+    top = max(map(len, adjacency.values()), default=0)
+    found = []
+    seen = set()
+    for v in sorted(adjacency):
+        if len(adjacency[v]) != top:
+            continue
+        walk = greedy_walk(adjacency, v)
+        if frozenset(walk) not in seen:
+            seen.add(frozenset(walk))
+            found.append(walk)
+    return tuple(found)
+
+
 def nested_floor_bound(n, w, lam):
     """Size ceiling by repeated floor division, innermost first."""
     acc = 1

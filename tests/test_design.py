@@ -27,6 +27,8 @@ from oockit import (
     wpr_from_dopr,
 )
 
+from oockit.cli import main
+
 from oracles import max_auto, max_cross, unit_auto_classes
 
 P7 = CodeParams(7, 3, 1, 1)
@@ -229,6 +231,24 @@ def test_multi_design_keeps_parameter_identity():
         for code in s.codes:
             assert code.n == n
             assert sum(code.dops) == n
+
+
+def test_multi_design_designs_a_repeated_tuple_once(monkeypatch, capsys):
+    """A repeated tuple neither reruns the designer nor reweights the merge."""
+    p31 = CodeParams(31, 3, 1, 1)
+    assert design_multi(DesignConfig((P25, p31, p31))) == design_multi(
+        DesignConfig((P25, p31))
+    )
+    calls = []
+
+    def counted(params, max_sets=None):
+        calls.append(params)
+        return design_fixed(params, max_sets)
+
+    monkeypatch.setattr("oockit.design.design_fixed", counted)
+    assert main(["design", "--n", "25,31,31", "--w", "3,3,3"]) == 0
+    assert calls == [P25, p31]
+    assert from_json(capsys.readouterr().out).config["n"] == [25, 31, 31]
 
 
 def test_dedup_by_class_feeds_the_final_stage():

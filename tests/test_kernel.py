@@ -1,10 +1,11 @@
 """The designer's int-bitset kernel against the independent routes.
 
-`build_graph`, `greedy_clique` and `clique_set_matrix` work on subset
-masks and adjacency bitsets; here random inputs hold them to
-`crosscorr_edop`, `interset_crosscorr` and the plain-set oracles, which
-share no code with the kernel, and hold `CodeGraph`'s checks on its masks
-to the plain definition of a simple undirected graph.
+`build_graph`, `greedy_clique`, `enumerate_cliques` and
+`clique_set_matrix` work on subset masks and adjacency bitsets; here
+random inputs hold them to `crosscorr_edop`, `interset_crosscorr` and the
+plain-set oracles, which share no code with the kernel, and hold
+`CodeGraph`'s checks on its masks to the plain definition of a simple
+undirected graph.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from oockit import (
     dopr_from_wpr,
     edop_full,
     edop_partial,
+    enumerate_cliques,
     greedy_clique,
     interset_crosscorr,
 )
 
-from oracles import greedy_walk, max_cross
+from oracles import greedy_walk, greedy_walks, max_cross
 
 
 @st.composite
@@ -100,10 +102,22 @@ def test_clique_set_matrix_matches_interset_crosscorr(sets):
 
 @st.composite
 def graphs(draw):
-    """Symmetric adjacency over 0..13 nodes, with an optional start node."""
+    """Symmetric adjacency over 0..14 nodes, with an optional start node.
+
+    Half the draws list the edges, the other half the few edges missing
+    from a complete graph: uniformly drawn edge lists rarely give nodes
+    joined to all others or walks from different starts that meet, which
+    the walk's batch steps and shared tails serve.
+    """
     size = draw(st.integers(0, 14))
     pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    near_complete = draw(st.booleans())
+    drawn = st.lists(
+        st.sampled_from(pairs), unique=True, max_size=size if near_complete else None
+    )
+    edges = set(draw(drawn)) if pairs else set()
+    if near_complete:
+        edges = set(pairs) - edges
     adjacency = {v: set() for v in range(size)}
     for a, b in edges:
         adjacency[a].add(b)
@@ -122,6 +136,14 @@ def test_greedy_clique_matches_the_set_based_walk(case):
     adjacency, start = case
     graph = CodeGraph(tuple(range(len(adjacency))), masks_of(adjacency))
     assert greedy_clique(graph, start) == greedy_walk(adjacency, start)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_enumerate_cliques_matches_one_set_based_walk_per_top_start(case):
+    adjacency, _ = case
+    graph = CodeGraph(tuple(range(len(adjacency))), masks_of(adjacency))
+    assert enumerate_cliques(graph) == greedy_walks(adjacency)
 
 
 @settings(max_examples=200, deadline=None)
