@@ -177,12 +177,10 @@ def build_graph(codes, threshold: int) -> CodeGraph:
 def _walk(masks, size: int, active: int, tails: dict) -> tuple[int, ...]:
     """Greedy selections from the working node set ``active`` to the end.
 
-    A node whose score is len(active) - 1 is joined to every other active
-    node, and stays so as the active set shrinks, so the one-node walk
-    would take all such nodes in a row, lowest index first: they are
-    taken in one step.  A step depends only on the active set, so
+    Nodes scoring len(active) - 1 are taken in one step, in ascending
+    order (see the module docstring for why single steps agree).
     ``tails`` maps each active set met to the rest of its walk, and a walk
-    that meets one already in it ends with the stored tail.
+    that meets a stored set ends with its tail.
     """
     chosen: list[int] = []
     met: list[tuple[int, int]] = []
