@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oockit import (
     BinaryCode,
@@ -31,6 +31,8 @@ from oracles import (
     bits_from_positions,
     cross_profile,
     gaps_of,
+    max_auto,
+    max_cross,
 )
 
 X = BinaryCode((0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0))
@@ -121,6 +123,40 @@ def test_comparison_tallies_are_exact():
     assert crosscorr_bruteforce(x, y, count_comparisons=True).comparisons == (
         n**2
     )  # 169
+
+
+def draw_positions(data):
+    n = data.draw(st.integers(4, 40))
+    w = data.draw(st.integers(2, min(6, n)))
+    positions = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=w, max_size=w, unique=True)
+    )
+    return tuple(sorted(positions)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_route_counting_path_matches_default_and_definition(data):
+    xpos, xn = draw_positions(data)
+    ypos, yn = draw_positions(data)
+    x = dopr_from_wpr(Wpr(xpos, xn))
+    y = dopr_from_wpr(Wpr(ypos, yn))
+    wx, wy = len(xpos), len(ypos)
+    auto = autocorr_edop(x, count_comparisons=True)
+    assert auto.lambda_ax == autocorr_edop(x).lambda_ax == max_auto(xpos, xn)
+    assert auto.comparisons == wx * (wx - 1) ** 3 // 2
+    cross = crosscorr_edop(x, y, count_comparisons=True)
+    assert cross.lambda_cxy == crosscorr_edop(x, y).lambda_cxy
+    if xn == yn:
+        assert cross.lambda_cxy == max_cross(xpos, ypos, xn)
+    assert cross.comparisons == wx * wy * (wx - 1) * (wy - 1)
+
+
+def test_table_route_rejects_bit_patterns():
+    with pytest.raises(TypeError):
+        autocorr_edop(X)
+    with pytest.raises(TypeError):
+        crosscorr_edop(X, Y)
 
 
 def test_comparison_counting_defaults_off():
