@@ -46,18 +46,19 @@ from functools import reduce
 from itertools import combinations, compress
 from operator import or_
 
-from .codes import CodeParams, Dopr, PartialDopr
+from .codes import CodeParams, Dopr
 from .correlation import (
+    _as_matrix,
     crosscorr_edop,
     johnson_bound,
     set_lambda_a,
     set_lambda_c,
 )
-from .edop import EdopMatrix, edop_full, edop_partial
 
-# Unused here, but perfbench/tracing.py counts calls by swapping this name
-# on this module, so it must stay importable from it.
+# Unused here, but perfbench/tracing.py counts calls by swapping these
+# three names on this module, so they must stay importable from it.
 from .correlation import interset_crosscorr  # noqa: F401
+from .edop import edop_full, edop_partial  # noqa: F401
 
 __all__ = [
     "CodeGraph",
@@ -112,15 +113,6 @@ class CodeGraph:
         return tuple(frozenset(_members(m, size)) for m in self.masks)
 
 
-def code_matrix(code: Dopr | PartialDopr | EdopMatrix) -> EdopMatrix:
-    """Difference table of a complete or partial code."""
-    if isinstance(code, EdopMatrix):
-        return code
-    if isinstance(code, PartialDopr):
-        return edop_partial(code)
-    return edop_full(code)
-
-
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -161,7 +153,7 @@ def build_graph(codes, threshold: int) -> CodeGraph:
         raise ValueError("threshold must be at least 1")
     size = len(nodes)
     bits: dict = {}
-    owned = [_subsets(code_matrix(c).rows, threshold, bits) for c in nodes]
+    owned = [_subsets(_as_matrix(c).rows, threshold, bits) for c in nodes]
     owners = [0] * len(bits)
     for i, subsets in enumerate(owned):
         for b in subsets:
@@ -262,11 +254,11 @@ def verify_maximality(members, candidates, threshold: int) -> bool:
     if not member_list:
         raise ValueError("maximality needs a non-empty set")
     keys = {(c.dops, c.n) for c in member_list}
-    mats = [code_matrix(c) for c in member_list]
+    mats = [_as_matrix(c) for c in member_list]
     for cand in candidates:
         if (cand.dops, cand.n) in keys:
             continue
-        cm = code_matrix(cand)
+        cm = _as_matrix(cand)
         if all(crosscorr_edop(cm, m).lambda_cxy <= threshold for m in mats):
             return False
     return True
@@ -386,7 +378,7 @@ def clique_set_matrix(cliques) -> CliqueSetMatrix:
     # levels[i][k - 1]: the k-entry subsets owned by set i's member rows.
     levels = []
     for s in items:
-        rows = [row for c in s.codes for row in code_matrix(c).rows]
+        rows = [row for c in s.codes for row in _as_matrix(c).rows]
         levels.append([
             sum(1 << b for b in _subsets(rows, k, bits))
             for k in range(1, max(map(len, rows)) + 1)

@@ -48,7 +48,8 @@ class CodeParams:
 
     def __post_init__(self) -> None:
         for name in ("n", "w", "lambda_a", "lambda_c"):
-            if not isinstance(getattr(self, name), int):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer")
         if (
             not self.n > self.w > max(self.lambda_a, self.lambda_c)

@@ -10,10 +10,11 @@ intersects rows of the codes' tables: the peak non-trivial overlap is one
 more than the largest number of entries two rows share.  Both routes must
 agree, share no code, and the test suite holds them to that.
 
-Comparison counting is opt-in.  With ``count_comparisons=True`` the
-functions run the literal definition, sliding one bit pattern over the
-other through all n shifts, and tally every element comparison; the
-tallies are exact, never estimates, and the disabled counter is None.
+Comparison counting is opt-in.  With ``count_comparisons=True`` a route
+runs its one literal scan, shared by auto and cross correlation (n shifts
+of one bit pattern over the other; every entry of one row against every
+entry of the other), and tallies each comparison exactly; the default,
+non-literal paths leave the counter None.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
-from .codes import BinaryCode, Dopr, Wpr, wpr_from_binary, wpr_from_dopr
-from .edop import EdopMatrix, edop_full
+from .codes import BinaryCode, Dopr, PartialDopr, Wpr, wpr_from_binary, wpr_from_dopr
+from .edop import EdopMatrix, edop_full, edop_partial
 
 __all__ = [
     "CorrelationReport",
@@ -92,12 +94,49 @@ def _positions(code: BinaryCode | Wpr | Dopr) -> tuple[tuple[int, ...], int]:
     return wpr.positions, wpr.n
 
 
-def _as_matrix(code: EdopMatrix | Dopr) -> EdopMatrix:
+def _as_matrix(code: EdopMatrix | Dopr | PartialDopr) -> EdopMatrix:
+    """Difference table of a complete or partial code; a table passes as is."""
     if isinstance(code, EdopMatrix):
         return code
     if isinstance(code, Dopr):
         return edop_full(code)
-    raise TypeError(f"expected EdopMatrix or Dopr, got {type(code)!r}")
+    if isinstance(code, PartialDopr):
+        return edop_partial(code)
+    raise TypeError(f"expected EdopMatrix, Dopr or PartialDopr, got {type(code)!r}")
+
+
+def _slide(xpos, ypos, n: int, first_shift: int) -> tuple[dict[int, int], int]:
+    """Literal overlap at each shift first_shift..n-1, and the comparisons made."""
+    xbits, ybits = [0] * n, [0] * n
+    for p in xpos:
+        xbits[p] = 1
+    for p in ypos:
+        ybits[p] = 1
+    comparisons = 0
+    hits = {}
+    for m in range(first_shift, n):
+        overlap = 0
+        for t in range(n):
+            comparisons += 1
+            if xbits[t] and ybits[(t + m) % n]:
+                overlap += 1
+        hits[m] = overlap
+    return hits, comparisons
+
+
+def _scan_rows(row_pairs) -> tuple[int, int]:
+    """Most entries any pair of rows shares, compared one by one, and the count."""
+    best = comparisons = 0
+    for rx, ry in row_pairs:
+        shared = 0
+        for a in rx:
+            for b in ry:
+                comparisons += 1
+                if a == b:
+                    shared += 1
+        if shared > best:
+            best = shared
+    return best, comparisons
 
 
 def autocorr_bruteforce(
@@ -113,21 +152,8 @@ def autocorr_bruteforce(
     if len(positions) < 2:
         raise ValueError("auto-correlation needs weight >= 2")
     if count_comparisons:
-        bits = [0] * n
-        for p in positions:
-            bits[p] = 1
-        comparisons = 0
-        profile = []
-        for m in range(1, n):
-            hits = 0
-            for t in range(n):
-                comparisons += 1
-                if bits[t] and bits[(t + m) % n]:
-                    hits += 1
-            profile.append(hits)
-        return CorrelationReport(
-            max(profile), dict(enumerate(profile, 1)), n, comparisons
-        )
+        hits, comparisons = _slide(positions, positions, n, 1)
+        return CorrelationReport(max(hits.values()), hits, n, comparisons)
     shifts = Counter((q - p) % n for p in positions for q in positions)
     del shifts[0]
     return CorrelationReport(max(shifts.values()), shifts, n)
@@ -153,52 +179,26 @@ def crosscorr_bruteforce(
         raise ValueError(f"lengths differ ({xn} vs {yn}); use crosscorr_edop")
     n = xn
     if count_comparisons:
-        ybits = [0] * n
-        for p in ypos:
-            ybits[p] = 1
-        xbits = [0] * n
-        for p in xpos:
-            xbits[p] = 1
-        comparisons = 0
-        profile = []
-        for m in range(n):
-            hits = 0
-            for t in range(n):
-                comparisons += 1
-                if xbits[t] and ybits[(t + m) % n]:
-                    hits += 1
-            profile.append(hits)
-        return CrossReport(max(profile), dict(enumerate(profile)), n, comparisons)
+        hits, comparisons = _slide(xpos, ypos, n, 0)
+        return CrossReport(max(hits.values()), hits, n, comparisons)
     shifts = Counter((q - p) % n for p in xpos for q in ypos)
     return CrossReport(max(shifts.values()), shifts, n)
 
 
 def autocorr_edop(
-    code: EdopMatrix | Dopr, *, count_comparisons: bool = False
+    code: EdopMatrix | Dopr | PartialDopr, *, count_comparisons: bool = False
 ) -> CorrelationReport:
     """Self correlation via the difference table.
 
     One more than the largest entry overlap between two distinct rows;
     equal to 1 exactly when all entries across the table are distinct.
+    A partial code is judged by the table of its closed companion.
     """
     matrix = _as_matrix(code)
-    rows = matrix.rows
-    if len(rows) < 2:
-        raise ValueError("auto-correlation needs weight >= 2")
-    best = 0
     if count_comparisons:
-        comparisons = 0
-        for i in range(len(rows)):
-            for k in range(i + 1, len(rows)):
-                shared = 0
-                for a in rows[i]:
-                    for b in rows[k]:
-                        comparisons += 1
-                        if a == b:
-                            shared += 1
-                if shared > best:
-                    best = shared
+        best, comparisons = _scan_rows(combinations(matrix.rows, 2))
         return CorrelationReport(1 + best, comparisons=comparisons)
+    best = 0
     sets = matrix.row_sets
     for i in range(len(sets)):
         for k in range(i + 1, len(sets)):
@@ -209,8 +209,8 @@ def autocorr_edop(
 
 
 def crosscorr_edop(
-    x: EdopMatrix | Dopr,
-    y: EdopMatrix | Dopr,
+    x: EdopMatrix | Dopr | PartialDopr,
+    y: EdopMatrix | Dopr | PartialDopr,
     *,
     count_comparisons: bool = False,
 ) -> CrossReport:
@@ -222,20 +222,10 @@ def crosscorr_edop(
     """
     mx = _as_matrix(x)
     my = _as_matrix(y)
-    best = 0
     if count_comparisons:
-        comparisons = 0
-        for rx in mx.rows:
-            for ry in my.rows:
-                shared = 0
-                for a in rx:
-                    for b in ry:
-                        comparisons += 1
-                        if a == b:
-                            shared += 1
-                if shared > best:
-                    best = shared
+        best, comparisons = _scan_rows(product(mx.rows, my.rows))
         return CrossReport(1 + best, comparisons=comparisons)
+    best = 0
     for sx in mx.row_sets:
         for sy in my.row_sets:
             shared = len(sx & sy)
@@ -289,7 +279,7 @@ def johnson_bound(n: int, w: int, lam: int) -> int:
     Nested floor form, evaluated innermost first:
     floor( (1/w) * floor( (n-1)/(w-1) * ... floor( (n-lam)/(w-lam) ) ) ).
     """
-    if not (isinstance(n, int) and isinstance(w, int) and isinstance(lam, int)):
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, w, lam)):
         raise ValueError("arguments must be integers")
     if not n > w > lam >= 1:
         raise ValueError(

@@ -3,7 +3,8 @@
 Codes are built one difference at a time.  Opening pairs that respect the
 positional ranges and the self-correlation ceiling seed a pool; each stage
 links compatible partial codes into a graph, harvests greedy cliques, and
-grows every clique member by one more difference.  Once a single free
+grows every clique member by one more difference, the step that also
+made the opening pairs from single differences.  Once a single free
 position remains, the closing difference is forced by the length: each
 member is completed, put in canonical rotation and kept once per rotation
 class, the last graph is built on those complete codes, and its cliques
@@ -73,24 +74,16 @@ class DesignConfig:
 def enumerate_first_pairs(params: CodeParams) -> tuple[PartialDopr, ...]:
     """Opening difference pairs that can begin a conforming code.
 
-    The two differences are distinct, each stays inside its positional
-    range, and the pair on its own already meets the self-correlation
-    ceiling.  Pairs are produced in lexicographic order.
+    The extension step applied to every first difference in its range:
+    the two differences are distinct whatever the ceiling, each stays
+    inside its positional range, and the pair on its own already meets
+    the self-correlation ceiling.  Pairs come in lexicographic order.
     """
     if params.w < 3:
         raise ValueError("opening pairs need weight at least 3")
     n, w = params.n, params.w
-    cap1 = max_difference_at(n, w, 1)
-    cap2 = max_difference_at(n, w, 2)
-    pairs: list[PartialDopr] = []
-    for d1 in range(1, cap1 + 1):
-        for d2 in range(1, cap2 + 1):
-            if d1 == d2 or d1 + d2 > n - (w - 2):
-                continue
-            partial = PartialDopr((d1, d2), n, w)
-            if autocorr_edop(edop_partial(partial)).lambda_ax <= params.lambda_a:
-                pairs.append(partial)
-    return tuple(pairs)
+    cap = max_difference_at(n, w, 1)
+    return _extend([PartialDopr((d,), n, w) for d in range(1, cap + 1)], params)
 
 
 def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
@@ -98,9 +91,17 @@ def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
 
     A new difference must stay inside its positional range, leave room for
     the positions still unfilled, and keep the partial self correlation
-    within the ceiling.  Under a ceiling of 1 a difference equal to its
-    predecessor can never survive, so it is skipped without scoring.
+    within the ceiling.  A difference equal to its predecessor is skipped
+    unscored when the ceiling is 1, where it can never survive, and when
+    it would be the second difference: one-difference codes extend as in
+    `enumerate_first_pairs`, into pairs of distinct differences.
     """
+    return _extend(codes, params)
+
+
+# Both public functions call this rather than each other, so that a traced
+# run files the opening pairs and the extensions under separate spans.
+def _extend(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
     n, w = params.n, params.w
     out: list[PartialDopr] = []
     seen: set[tuple[int, ...]] = set()
@@ -111,7 +112,7 @@ def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
         total = sum(code.dops)
         cap = min(max_difference_at(n, w, u + 1), n - (w - u - 1) - total)
         for e in range(1, cap + 1):
-            if params.lambda_a == 1 and e == code.dops[-1]:
+            if e == code.dops[-1] and (u == 1 or params.lambda_a == 1):
                 continue
             cand = PartialDopr(code.dops + (e,), n, w)
             if autocorr_edop(edop_partial(cand)).lambda_ax > params.lambda_a:

@@ -56,6 +56,10 @@ def test_params_rejects_bad_orderings(n, w, la, lc):
 def test_params_rejects_non_integers():
     with pytest.raises(ValueError):
         CodeParams(13.0, 4, 1, 1)
+    # A bool is an int to Python, but a document would store it as true,
+    # which the document reader refuses.
+    with pytest.raises(ValueError, match="lambda_a must be an integer"):
+        CodeParams(13, 4, True, True)
 
 
 def test_binary_code_basic_properties():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oockit import (
     BinaryCode,
     Dopr,
+    PartialDopr,
     Wpr,
     autocorr_bruteforce,
     autocorr_edop,
@@ -19,6 +20,7 @@ from oockit import (
     binary_from_wpr,
     dopr_from_wpr,
     edop_full,
+    edop_partial,
     interset_crosscorr,
     johnson_bound,
     set_lambda_a,
@@ -198,6 +200,8 @@ def test_johnson_bound_validates_arguments():
         johnson_bound(13, 4, 0)
     with pytest.raises(ValueError):
         johnson_bound(13.0, 4, 1)
+    with pytest.raises(ValueError):
+        johnson_bound(25, 3, True)
 
 
 def test_set_helpers():
@@ -230,6 +234,14 @@ def test_edop_route_accepts_prebuilt_matrices():
     mx = edop_full(Dopr((2, 3, 4, 4), 13))
     assert autocorr_edop(mx).lambda_ax == 2
     assert crosscorr_edop(mx, mx).lambda_cxy == 4
+
+
+def test_edop_route_accepts_partial_codes():
+    partial = PartialDopr((2, 3), 13, 4)
+    table = edop_partial(partial)
+    other = Dopr((2, 3, 4, 4), 13)
+    assert autocorr_edop(partial) == autocorr_edop(table)
+    assert crosscorr_edop(partial, other) == crosscorr_edop(table, other)
 
 
 REPRESENTATIONS = {"binary": binary_from_wpr, "wpr": lambda c: c, "dopr": dopr_from_wpr}
