@@ -29,8 +29,8 @@ non-neighbors are the union of a few ints; `clique_set_matrix` finds each
 inter-set peak by intersecting levels 1, 2, ... until one comes up
 empty.  A graph's adjacency is one int mask per node and nothing else:
 the walk scores a node with ``int.bit_count``, and the neighbor sets are
-only read off the masks on request.  Tables are built once per call, and
-nothing is kept between calls.
+only read off the masks on request.  Each code builds its own table once
+and keeps it (`Dopr.table`); the subset numbering lives for one call.
 
 The public correlation functions (`crosscorr_edop`,
 `interset_crosscorr`), set assembly (`make_clique_set`),
@@ -48,7 +48,6 @@ from operator import or_
 
 from .codes import CodeParams, Dopr
 from .correlation import (
-    _as_matrix,
     crosscorr_edop,
     johnson_bound,
     set_lambda_a,
@@ -153,7 +152,7 @@ def build_graph(codes, threshold: int) -> CodeGraph:
         raise ValueError("threshold must be at least 1")
     size = len(nodes)
     bits: dict = {}
-    owned = [_subsets(_as_matrix(c).rows, threshold, bits) for c in nodes]
+    owned = [_subsets(c.table.rows, threshold, bits) for c in nodes]
     owners = [0] * len(bits)
     for i, subsets in enumerate(owned):
         for b in subsets:
@@ -202,21 +201,17 @@ def _walk(masks, size: int, active: int, tails: dict) -> tuple[int, ...]:
     return walk
 
 
-def greedy_clique(graph: CodeGraph, start: int | None = None) -> tuple[int, ...]:
+def greedy_clique(graph: CodeGraph) -> tuple[int, ...]:
     """Degree-greedy maximal clique, as node indices in selection order.
 
     Repeatedly selects a highest-degree node of the working graph (ties to
     the lowest index) and restricts to its neighborhood; a selection of
-    degree zero ends the walk.  ``start`` forces the first selection.
-    Nodes joined to every other working node are selected together, in
-    ascending order, which is the order the one-node steps would give.
+    degree zero ends the walk.  Nodes joined to every other working node
+    are selected together, in ascending order, which is the order the
+    one-node steps would give.
     """
-    masks, size = graph.masks, len(graph.nodes)
-    if start is not None and not 0 <= start < size:
-        raise ValueError(f"start index {start} out of range")
-    if start is None:
-        return _walk(masks, size, (1 << size) - 1, {})
-    return (start, *_walk(masks, size, masks[start], {}))
+    size = len(graph.nodes)
+    return _walk(graph.masks, size, (1 << size) - 1, {})
 
 
 def enumerate_cliques(graph: CodeGraph) -> tuple[tuple[int, ...], ...]:
@@ -254,12 +249,10 @@ def verify_maximality(members, candidates, threshold: int) -> bool:
     if not member_list:
         raise ValueError("maximality needs a non-empty set")
     keys = {(c.dops, c.n) for c in member_list}
-    mats = [_as_matrix(c) for c in member_list]
     for cand in candidates:
         if (cand.dops, cand.n) in keys:
             continue
-        cm = _as_matrix(cand)
-        if all(crosscorr_edop(cm, m).lambda_cxy <= threshold for m in mats):
+        if all(crosscorr_edop(cand, m).lambda_cxy <= threshold for m in member_list):
             return False
     return True
 
@@ -378,7 +371,7 @@ def clique_set_matrix(cliques) -> CliqueSetMatrix:
     # levels[i][k - 1]: the k-entry subsets owned by set i's member rows.
     levels = []
     for s in items:
-        rows = [row for c in s.codes for row in _as_matrix(c).rows]
+        rows = [row for c in s.codes for row in c.table.rows]
         levels.append([
             sum(1 << b for b in _subsets(rows, k, bits))
             for k in range(1, max(map(len, rows)) + 1)

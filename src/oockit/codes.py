@@ -18,6 +18,9 @@ designer enumerates lives in that canonical space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+from .edop import EdopMatrix, edop_full, edop_partial
 
 __all__ = [
     "CodeParams",
@@ -37,6 +40,12 @@ __all__ = [
 ]
 
 
+def _check_integers(what: str, *values) -> None:
+    """Refuse bools and floats such as 7.0, which documents cannot round-trip."""
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+        raise ValueError(f"{what} must be an integer")
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """Design parameters: length n, weight w, correlation ceilings."""
@@ -48,9 +57,7 @@ class CodeParams:
 
     def __post_init__(self) -> None:
         for name in ("n", "w", "lambda_a", "lambda_c"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer")
+            _check_integers(name, getattr(self, name))
         if (
             not self.n > self.w > max(self.lambda_a, self.lambda_c)
             or min(self.lambda_a, self.lambda_c) < 1
@@ -91,9 +98,10 @@ class Wpr:
     n: int
 
     def __post_init__(self) -> None:
+        _check_integers("n and each position", self.n, *self.positions)
         if not self.positions:
             raise ValueError("a code needs at least one weighted position")
-        if any(p != int(p) or not 0 <= p < self.n for p in self.positions):
+        if any(not 0 <= p < self.n for p in self.positions):
             raise ValueError(f"positions must lie in [0, {self.n})")
         if any(a >= b for a, b in zip(self.positions, self.positions[1:])):
             raise ValueError("positions must be strictly increasing")
@@ -116,6 +124,7 @@ class Dopr:
     n: int
 
     def __post_init__(self) -> None:
+        _check_integers("n and each difference", self.n, *self.dops)
         if not self.dops:
             raise ValueError("a difference form needs at least one element")
         if len(self.dops) == 1:
@@ -125,7 +134,7 @@ class Dopr:
                     f"difference ({self.n},), got {self.dops}"
                 )
             return
-        if any(d != int(d) or not 1 <= d <= self.n - 1 for d in self.dops):
+        if any(not 1 <= d <= self.n - 1 for d in self.dops):
             raise ValueError(f"differences must lie in [1, {self.n - 1}]")
         if sum(self.dops) != self.n:
             raise ValueError(
@@ -135,6 +144,11 @@ class Dopr:
     @property
     def weight(self) -> int:
         return len(self.dops)
+
+    @cached_property
+    def table(self) -> EdopMatrix:
+        """The code's difference table, built on first use and kept."""
+        return edop_full(self)
 
 
 def rotations(dops: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -173,10 +187,11 @@ class PartialDopr:
     w: int
 
     def __post_init__(self) -> None:
+        _check_integers("n, w and each difference", self.n, self.w, *self.dops)
         u = len(self.dops)
         if not 1 <= u < self.w:
             raise ValueError(f"a partial form needs 1..{self.w - 1} elements")
-        if any(d != int(d) or not 1 <= d <= self.n - 1 for d in self.dops):
+        if any(not 1 <= d <= self.n - 1 for d in self.dops):
             raise ValueError(f"differences must lie in [1, {self.n - 1}]")
         if sum(self.dops) > self.n - (self.w - u):
             raise ValueError(
@@ -188,15 +203,15 @@ class PartialDopr:
     def u(self) -> int:
         return len(self.dops)
 
+    @cached_property
+    def table(self) -> EdopMatrix:
+        """The closed companion's difference table, built on first use and kept."""
+        return edop_partial(self)
 
-def wpr_from_binary(code: BinaryCode, expected_weight: int | None = None) -> Wpr:
-    """Positions of the one-bits; optionally checked against a declared weight."""
-    positions = tuple(i for i, b in enumerate(code.bits) if b)
-    if expected_weight is not None and len(positions) != expected_weight:
-        raise ValueError(
-            f"code has weight {len(positions)}, expected {expected_weight}"
-        )
-    return Wpr(positions, code.n)
+
+def wpr_from_binary(code: BinaryCode) -> Wpr:
+    """Positions of the one-bits."""
+    return Wpr(tuple(i for i, b in enumerate(code.bits) if b), code.n)
 
 
 def binary_from_wpr(wpr: Wpr) -> BinaryCode:

@@ -25,7 +25,11 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .codes import BinaryCode, Dopr, PartialDopr, Wpr, wpr_from_binary, wpr_from_dopr
-from .edop import EdopMatrix, edop_full, edop_partial
+from .edop import EdopMatrix
+
+# Unused here, but perfbench/tracing.py counts calls by swapping this
+# name on this module, so it must stay importable from it.
+from .edop import edop_full  # noqa: F401
 
 __all__ = [
     "CorrelationReport",
@@ -95,13 +99,11 @@ def _positions(code: BinaryCode | Wpr | Dopr) -> tuple[tuple[int, ...], int]:
 
 
 def _as_matrix(code: EdopMatrix | Dopr | PartialDopr) -> EdopMatrix:
-    """Difference table of a complete or partial code; a table passes as is."""
+    """A table as is, or the table a complete or partial code keeps."""
     if isinstance(code, EdopMatrix):
         return code
-    if isinstance(code, Dopr):
-        return edop_full(code)
-    if isinstance(code, PartialDopr):
-        return edop_partial(code)
+    if isinstance(code, (Dopr, PartialDopr)):
+        return code.table
     raise TypeError(f"expected EdopMatrix, Dopr or PartialDopr, got {type(code)!r}")
 
 
@@ -199,12 +201,10 @@ def autocorr_edop(
         best, comparisons = _scan_rows(combinations(matrix.rows, 2))
         return CorrelationReport(1 + best, comparisons=comparisons)
     best = 0
-    sets = matrix.row_sets
-    for i in range(len(sets)):
-        for k in range(i + 1, len(sets)):
-            shared = len(sets[i] & sets[k])
-            if shared > best:
-                best = shared
+    for sx, sy in combinations(matrix.row_sets, 2):
+        shared = len(sx & sy)
+        if shared > best:
+            best = shared
     return CorrelationReport(1 + best)
 
 
@@ -226,11 +226,10 @@ def crosscorr_edop(
         best, comparisons = _scan_rows(product(mx.rows, my.rows))
         return CrossReport(1 + best, comparisons=comparisons)
     best = 0
-    for sx in mx.row_sets:
-        for sy in my.row_sets:
-            shared = len(sx & sy)
-            if shared > best:
-                best = shared
+    for sx, sy in product(mx.row_sets, my.row_sets):
+        shared = len(sx & sy)
+        if shared > best:
+            best = shared
     return CrossReport(1 + best)
 
 
@@ -247,12 +246,7 @@ def set_lambda_c(codes) -> int:
     codes = list(codes)
     if len(codes) < 2:
         raise ValueError("set cross correlation needs at least two codes")
-    mats = [_as_matrix(c) for c in codes]
-    return max(
-        crosscorr_edop(mats[i], mats[k]).lambda_cxy
-        for i in range(len(mats))
-        for k in range(i + 1, len(mats))
-    )
+    return max(crosscorr_edop(x, y).lambda_cxy for x, y in combinations(codes, 2))
 
 
 def interset_crosscorr(a, b) -> int:
@@ -266,11 +260,7 @@ def interset_crosscorr(a, b) -> int:
     b_codes = list(getattr(b, "codes", b))
     if not a_codes or not b_codes:
         raise ValueError("inter-set correlation needs non-empty sets")
-    a_mats = [_as_matrix(c) for c in a_codes]
-    b_mats = [_as_matrix(c) for c in b_codes]
-    return max(
-        crosscorr_edop(ma, mb).lambda_cxy for ma in a_mats for mb in b_mats
-    )
+    return max(crosscorr_edop(x, y).lambda_cxy for x in a_codes for y in b_codes)
 
 
 def johnson_bound(n: int, w: int, lam: int) -> int:

@@ -35,13 +35,12 @@ from .codes import (
     standardize,
 )
 from .correlation import autocorr_edop
-from .edop import edop_partial
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
-# three names on this module, so they must stay importable from it.
+# four names on this module, so they must stay importable from it.
 from .cliques import greedy_clique  # noqa: F401
 from .correlation import interset_crosscorr  # noqa: F401
-from .edop import edop_full  # noqa: F401
+from .edop import edop_full, edop_partial  # noqa: F401
 
 __all__ = [
     "DesignConfig",
@@ -115,7 +114,7 @@ def _extend(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
             if e == code.dops[-1] and (u == 1 or params.lambda_a == 1):
                 continue
             cand = PartialDopr(code.dops + (e,), n, w)
-            if autocorr_edop(edop_partial(cand)).lambda_ax > params.lambda_a:
+            if autocorr_edop(cand).lambda_ax > params.lambda_a:
                 continue
             if cand.dops not in seen:
                 seen.add(cand.dops)

@@ -16,8 +16,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .codes import Dopr, PartialDopr
+if TYPE_CHECKING:  # annotations only: codes imports this module at run time
+    from .codes import Dopr, PartialDopr
 
 __all__ = [
     "EdopMatrix",

@@ -151,20 +151,6 @@ def test_greedy_walk_on_a_path():
     # Degrees 1,2,2,1: node 1 wins the first pick by index.
     path = graph_of(4, [(0, 1), (1, 2), (2, 3)])
     assert greedy_clique(path) == (1, 0)
-    assert greedy_clique(path, start=2) == (2, 1)
-    assert greedy_clique(path, start=3) == (3, 2)
-
-
-def test_greedy_start_must_be_in_range():
-    with pytest.raises(ValueError):
-        greedy_clique(graph_of(2, [(0, 1)]), start=2)
-
-
-def test_greedy_start_is_checked_on_the_empty_graph_too():
-    with pytest.raises(ValueError, match="out of range"):
-        greedy_clique(graph_of(0, []), start=3)
-    with pytest.raises(ValueError, match="out of range"):
-        greedy_clique(graph_of(1, []), start=3)
 
 
 def test_greedy_results_on_random_graphs_are_maximal_cliques():

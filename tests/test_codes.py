@@ -62,6 +62,30 @@ def test_params_rejects_non_integers():
         CodeParams(13, 4, True, True)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Dopr((True, 2, 4), 7),
+        lambda: Dopr((1.0, 2, 4), 7),
+        lambda: Dopr((1, 2, 4), 7.0),
+        lambda: Dopr((7.0,), 7.0),
+        lambda: StandardDopr((1, 2, 4), 7.0),
+        lambda: PartialDopr((True, 2), 7, 3),
+        lambda: PartialDopr((1.0, 2), 7, 3),
+        lambda: PartialDopr((1, 2), 7.0, 3),
+        lambda: PartialDopr((1, 2), 7, 3.0),
+        lambda: Wpr((0, True, 3), 7),
+        lambda: Wpr((0, 1.0, 3), 7),
+        lambda: Wpr((0, 1, 3), 7.0),
+    ],
+)
+def test_code_forms_reject_bools_and_floats(make):
+    # Either would pass the range checks and then be written to a document
+    # as true or 1.0, which the document reader refuses.
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
 def test_binary_code_basic_properties():
     code = BinaryCode((0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0))
     assert code.n == 13
@@ -115,19 +139,13 @@ def test_partial_dopr_room_check():
 
 def test_round_trip_worked_code():
     code = BinaryCode((0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0))
-    wpr = wpr_from_binary(code, expected_weight=4)
+    wpr = wpr_from_binary(code)
     assert wpr.positions == (1, 3, 6, 10)
     dopr = dopr_from_wpr(wpr)
     assert dopr.dops == (2, 3, 4, 4)
     # Anchoring at zero is a shift of the original, not the original itself.
     assert wpr_from_dopr(dopr).positions == (0, 2, 5, 9)
     assert binary_from_wpr(wpr) == code
-
-
-def test_wpr_from_binary_checks_declared_weight():
-    code = BinaryCode((1, 0, 1, 1, 0))
-    with pytest.raises(ValueError):
-        wpr_from_binary(code, expected_weight=4)
 
 
 def test_round_trips_exhaustively_small():

@@ -27,6 +27,7 @@ from oockit import (
     wpr_from_dopr,
 )
 
+from oockit import codes
 from oockit.cli import main
 
 from oracles import max_auto, max_cross, unit_auto_classes
@@ -249,6 +250,32 @@ def test_multi_design_designs_a_repeated_tuple_once(monkeypatch, capsys):
     assert main(["design", "--n", "25,31,31", "--w", "3,3,3"]) == 0
     assert calls == [P25, p31]
     assert from_json(capsys.readouterr().out).config["n"] == [25, 31, 31]
+
+
+@pytest.mark.parametrize(
+    "params, built",
+    [
+        (CodeParams(25, 3, 1, 1), 201),
+        (CodeParams(19, 4, 2, 2), 581),
+        (CodeParams(25, 4, 2, 2), 1470),
+    ],
+)
+def test_design_builds_each_code_table_once(monkeypatch, params, built):
+    """Every table the designer reads is built by its code, once per code."""
+    # Holding each argument keeps its id from being reused by a later code.
+    seen = []
+
+    def counted(build):
+        def wrapper(code):
+            seen.append(code)
+            return build(code)
+
+        return wrapper
+
+    for name in ("edop_full", "edop_partial"):
+        monkeypatch.setattr(codes, name, counted(getattr(codes, name)))
+    design_fixed(params)
+    assert len({id(code) for code in seen}) == len(seen) == built
 
 
 def test_dedup_by_class_feeds_the_final_stage():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oockit import (
     Dopr,
@@ -13,8 +14,10 @@ from oockit import (
     dopr_from_wpr,
     edop_full,
     edop_partial,
+    standardize,
     zero_augment,
 )
+from oockit.correlation import _as_matrix
 
 from oracles import all_subsets, anchored_difference_table, gaps_of
 
@@ -58,6 +61,29 @@ def test_partial_table_at_full_prefix_equals_the_full_table():
     # With w-1 elements fixed the companion is the finished code itself.
     partial = edop_partial(PartialDopr((2, 3, 4), 13, 4))
     assert partial.rows == edop_full(WORKED).rows
+
+
+@st.composite
+def table_owners(draw):
+    """A Dopr, StandardDopr or PartialDopr with n in 4..40 and w in 2..6."""
+    n = draw(st.integers(4, 40))
+    w = draw(st.integers(2, min(6, n - 1)))
+    rest = draw(st.sets(st.integers(1, n - 1), min_size=w - 1, max_size=w - 1))
+    code = dopr_from_wpr(Wpr((0, *sorted(rest)), n))
+    kind = draw(st.sampled_from(("dopr", "standard", "partial")))
+    if kind == "standard":
+        return standardize(code)
+    if kind == "partial":
+        return PartialDopr(code.dops[: draw(st.integers(1, w - 1))], n, w)
+    return code
+
+
+@given(table_owners())
+def test_a_code_keeps_the_table_its_builder_gives(code):
+    build = edop_partial if isinstance(code, PartialDopr) else edop_full
+    assert _as_matrix(code) is code.table
+    assert code.table is code.table
+    assert code.table == build(code)
 
 
 def test_row_sets_and_entry_set():

@@ -102,7 +102,7 @@ def test_clique_set_matrix_matches_interset_crosscorr(sets):
 
 @st.composite
 def graphs(draw):
-    """Symmetric adjacency over 0..14 nodes, with an optional start node.
+    """Symmetric adjacency over 0..14 nodes.
 
     Half the draws list the edges, the other half the few edges missing
     from a complete graph: uniformly drawn edge lists rarely give nodes
@@ -122,8 +122,7 @@ def graphs(draw):
     for a, b in edges:
         adjacency[a].add(b)
         adjacency[b].add(a)
-    start = draw(st.none() | st.integers(0, size - 1)) if size else None
-    return adjacency, start
+    return adjacency
 
 
 def masks_of(adjacency):
@@ -132,24 +131,21 @@ def masks_of(adjacency):
 
 @settings(max_examples=200, deadline=None)
 @given(graphs())
-def test_greedy_clique_matches_the_set_based_walk(case):
-    adjacency, start = case
+def test_greedy_clique_matches_the_set_based_walk(adjacency):
     graph = CodeGraph(tuple(range(len(adjacency))), masks_of(adjacency))
-    assert greedy_clique(graph, start) == greedy_walk(adjacency, start)
+    assert greedy_clique(graph) == greedy_walk(adjacency)
 
 
 @settings(max_examples=200, deadline=None)
 @given(graphs())
-def test_enumerate_cliques_matches_one_set_based_walk_per_top_start(case):
-    adjacency, _ = case
+def test_enumerate_cliques_matches_one_set_based_walk_per_top_start(adjacency):
     graph = CodeGraph(tuple(range(len(adjacency))), masks_of(adjacency))
     assert enumerate_cliques(graph) == greedy_walks(adjacency)
 
 
 @settings(max_examples=200, deadline=None)
 @given(graphs(), st.data())
-def test_graph_checks_on_masks_match_the_definition(case, data):
-    adjacency, _ = case
+def test_graph_checks_on_masks_match_the_definition(adjacency, data):
     size = len(adjacency)
     nodes, masks = tuple(range(size)), masks_of(adjacency)
     graph = CodeGraph(nodes, masks)
