@@ -157,3 +157,43 @@ def nested_floor_bound(n, w, lam):
     for i in range(lam, 0, -1):
         acc = (n - i) * acc // (w - i)
     return acc // w
+
+
+def companion_positions(dops):
+    """One-bit positions of a prefix's closed companion, anchored at 0."""
+    positions = [0]
+    for d in dops:
+        positions.append(positions[-1] + d)
+    return tuple(positions)
+
+
+def shift_peak(positions, n):
+    """Largest overlap of a position set with its shifts 1..n-1."""
+    ones = set(positions)
+    return max(len(ones & {(p + m) % n for p in ones}) for m in range(1, n))
+
+
+def extend_prefixes(prefixes, n, w, lambda_a):
+    """The designer's extension step, one candidate code at a time.
+
+    Each prefix of u differences grows by every e up to its slot's cap
+    (floor((n-w+1)/2) for the leading floor((w-1)/2) slots, floor((n-w+2)/2)
+    after them) that still leaves one unit for each later position.  e is
+    skipped unjudged when it equals the last difference and it would be the
+    second difference or the ceiling is 1.  A candidate is kept when its
+    closed companion's self-correlation peak is at most ``lambda_a``; the
+    kept tuples come in order, each once.
+    """
+    out = []
+    for dops in prefixes:
+        u = len(dops)
+        slot = (n - w + 1) // 2 if u + 1 <= (w - 1) // 2 else (n - w + 2) // 2
+        cap = min(slot, n - (w - u - 1) - sum(dops))
+        for e in range(1, cap + 1):
+            if e == dops[-1] and (u == 1 or lambda_a == 1):
+                continue
+            cand = tuple(dops) + (e,)
+            if shift_peak(companion_positions(cand), n) <= lambda_a:
+                if cand not in out:
+                    out.append(cand)
+    return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +25,13 @@ from oockit import (
     wpr_from_dopr,
 )
 
+from oockit import codes
+
 from oracles import all_subsets, gaps_of
+
+
+class I(int):
+    """An int subclass other than bool, which every integer check accepts."""
 
 
 def test_params_accepts_ordinary_values():
@@ -84,6 +91,47 @@ def test_code_forms_reject_bools_and_floats(make):
     # as true or 1.0, which the document reader refuses.
     with pytest.raises(ValueError, match="must be an integer"):
         make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Dopr((), 7), "a difference form needs at least one element"),
+        (lambda: Dopr((4,), 9), "weight-1 code at n=9 must have the single difference"),
+        (lambda: Dopr((0, 3, 4), 7), "differences must lie in [1, 6]"),
+        (lambda: Dopr((7, 1, -1), 7), "differences must lie in [1, 6]"),
+        (lambda: Dopr((1, 2, 5), 7), "differences must sum to n=7, got 8"),
+        (lambda: Dopr((True, 2, 4), 7), "n and each difference must be an integer"),
+        (lambda: Dopr((1, 2, 4), 7.0), "n and each difference must be an integer"),
+        (lambda: StandardDopr((2, 4, 1), 7), "(2, 4, 1) is not the canonical rotation"),
+        (lambda: PartialDopr((), 7, 3), "a partial form needs 1..2 elements"),
+        (lambda: PartialDopr((1, 2, 4), 7, 3), "a partial form needs 1..2 elements"),
+        (lambda: PartialDopr((0, 2), 7, 3), "differences must lie in [1, 6]"),
+        (lambda: PartialDopr((7,), 7, 3), "differences must lie in [1, 6]"),
+        (
+            lambda: PartialDopr((3, 4), 7, 3),
+            "prefix (3, 4) leaves no room for 1 more differences within n=7",
+        ),
+        (lambda: PartialDopr((1.5, 2), 7, 3), "n, w and each difference must be"),
+        (lambda: PartialDopr((1, 2), 7, False), "n, w and each difference must be"),
+        (lambda: Wpr((), 7), "a code needs at least one weighted position"),
+        (lambda: Wpr((0, 7), 7), "positions must lie in [0, 7)"),
+        (lambda: Wpr((-1, 3), 7), "positions must lie in [0, 7)"),
+        (lambda: Wpr((0, 3, 3), 7), "positions must be strictly increasing"),
+        (lambda: Wpr((0, True), 7), "n and each position must be an integer"),
+    ],
+)
+def test_code_forms_refuse_malformed_input_with_their_messages(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_code_forms_accept_int_subclasses_other_than_bool():
+    assert Dopr((I(1), I(2), I(4)), I(7)).dops == (1, 2, 4)
+    assert standardize(Dopr((I(2), I(1), I(4)), I(7))).dops == (2, 1, 4)
+    assert PartialDopr((I(1), I(2)), I(7), I(3)).u == 2
+    assert Wpr((I(0), I(1), I(3)), I(7)).weight == 3
+    assert CodeParams(I(13), I(4), I(1), I(1)).n == 13
 
 
 def test_binary_code_basic_properties():
@@ -200,6 +248,43 @@ def test_standardize_is_shift_invariant(data):
     dopr = dopr_from_wpr(Wpr(positions, n))
     forms = {standardize(Dopr(rot, n)).dops for rot in rotations(dopr.dops)}
     assert len(forms) == 1
+
+
+def standard_by_definition(dops):
+    """Among all rotations, those ending in the largest element; the least one."""
+    rots = [dops[i:] + dops[:i] for i in range(len(dops))]
+    top = max(r[-1] for r in rots)
+    return min(r for r in rots if r[-1] == top)
+
+
+@pytest.mark.parametrize(
+    "dops",
+    [
+        (3, 3, 3),
+        (1, 2, 1, 2),
+        (2, 1, 2, 1),
+        (4, 1, 4, 1),
+        (1, 5, 1, 5, 1, 5),
+        (5, 1, 2, 5, 1, 3),
+        (9,),
+        (2, 2),
+    ],
+)
+def test_standard_rotation_of_tied_and_symmetric_tuples(dops):
+    assert codes._standard_rotation(dops) == standard_by_definition(dops)
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    st.integers(1, 3),
+    st.integers(0, 14),
+)
+def test_standard_rotation_matches_the_all_rotations_definition(block, repeat, turn):
+    """Few distinct values make ties on the maximum common; repeats add symmetry."""
+    dops = tuple(block) * repeat
+    turn %= len(dops)
+    dops = dops[turn:] + dops[:turn]
+    assert codes._standard_rotation(dops) == standard_by_definition(dops)
 
 
 def test_standard_dopr_rejects_non_canonical_rotations():

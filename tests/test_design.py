@@ -30,7 +30,13 @@ from oockit import (
 from oockit import codes
 from oockit.cli import main
 
-from oracles import max_auto, max_cross, unit_auto_classes
+from oracles import (
+    companion_positions,
+    extend_prefixes,
+    max_auto,
+    max_cross,
+    unit_auto_classes,
+)
 
 P7 = CodeParams(7, 3, 1, 1)
 P13 = CodeParams(13, 4, 1, 1)
@@ -39,10 +45,7 @@ P25 = CodeParams(25, 3, 1, 1)
 
 def companion_auto(dops, n):
     """Self correlation of the prefix's closed companion, from the definition."""
-    positions = [0]
-    for d in dops:
-        positions.append(positions[-1] + d)
-    return max_auto(tuple(positions), n)
+    return max_auto(companion_positions(dops), n)
 
 
 def test_first_pairs_frozen_lists():
@@ -96,6 +99,44 @@ def test_extension_respects_range_room_and_correlation():
     assert 3 not in kept
     # 2+3 already realizes the distance 5.
     assert 5 not in kept
+
+
+@st.composite
+def extension_parents(draw):
+    """Parameters and 1..3 extendable prefixes, some already over lambda_a.
+
+    n runs 4..60, w 3..7 and lambda_a 1..3.  For even n the prefix may be
+    made to reach position n/2, whose distance n/2 to the anchor counts
+    twice: a one-difference parent (n/2,) or one at lambda 2 already.
+    """
+    w = draw(st.integers(3, 7))
+    n = draw(st.integers(max(4, w + 1), 60))
+    params = CodeParams(n, w, draw(st.integers(1, min(3, w - 1))), 1)
+    parents = []
+    for _ in range(draw(st.integers(1, 3))):
+        u = draw(st.integers(1, w - 2))
+        top = n - (w - u)  # the prefix sum that leaves one unit per slot left
+        ends = draw(st.sets(st.integers(1, top), min_size=u, max_size=u))
+        if n % 2 == 0 and n // 2 <= top and n // 2 not in ends and draw(st.booleans()):
+            ends.remove(max(ends))
+            ends.add(n // 2)
+        ends = sorted(ends)
+        parents.append(tuple(b - a for a, b in zip([0] + ends, ends)))
+    return params, parents
+
+
+@settings(max_examples=150, deadline=None)
+@given(extension_parents())
+def test_extension_equals_the_candidate_by_candidate_check(case):
+    params, parents = case
+    n, w = params.n, params.w
+    grown = extend_clique_codes([PartialDopr(d, n, w) for d in parents], params)
+    assert [g.dops for g in grown] == extend_prefixes(parents, n, w, params.lambda_a)
+    assert all(isinstance(g, PartialDopr) and (g.n, g.w) == (n, w) for g in grown)
+    firsts = [(d,) for d in range(1, max_difference_at(n, w, 1) + 1)]
+    assert [p.dops for p in enumerate_first_pairs(params)] == extend_prefixes(
+        firsts, n, w, params.lambda_a
+    )
 
 
 def test_extensions_deduplicate_across_clique_members():

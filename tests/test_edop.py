@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -139,3 +141,31 @@ def test_matrix_validation_rejects_malformed_rows():
         EdopMatrix(((1, 5), (1, 3), (2, 3)), 5)  # entry out of range
     with pytest.raises(ValueError):
         EdopMatrix((), 5)
+
+
+@pytest.mark.parametrize(
+    "rows, n, message",
+    [
+        ((), 5, "a difference table needs at least one row"),
+        (((1, 2), (1, 3)), 5, "table must have one more row than columns"),
+        (((), ()), 5, "table must have one more row than columns"),
+        (((1, 2), (1, 3), (2,)), 5, "rows must have equal length"),
+        (((1, 2), (1, 3, 4), (2, 3)), 5, "rows must have equal length"),
+        (((0, 2), (1, 3), (2, 3)), 5, "entries must lie in [1, 4]"),
+        (((1, 5), (1, 3), (2, 3)), 5, "entries must lie in [1, 4]"),
+        (((1, 2), (1, 3), (2, -3)), 5, "entries must lie in [1, 4]"),
+        (((2, 1), (1, 3), (2, 3)), 5, "row entries must be strictly increasing"),
+        (((1, 2), (1, 3), (3, 3)), 5, "row entries must be strictly increasing"),
+    ],
+)
+def test_matrix_validation_messages(rows, n, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EdopMatrix(rows, n)
+
+
+def test_matrix_accepts_int_subclasses_other_than_bool():
+    class I(int):
+        pass
+
+    table = EdopMatrix(((I(1), I(2)), (1, I(3)), (2, 3)), I(5))
+    assert table.weight == 3
