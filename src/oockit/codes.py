@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .edop import EdopMatrix, edop_full, edop_partial
+from .edop import EdopMatrix, _check_integers, edop_full, edop_partial
 
 __all__ = [
     "CodeParams",
@@ -38,12 +38,6 @@ __all__ = [
     "max_difference_at",
     "last_difference_range",
 ]
-
-
-def _check_integers(what: str, *values) -> None:
-    """Refuse bools and floats such as 7.0, which documents cannot round-trip."""
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
-        raise ValueError(f"{what} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,7 @@ class Dopr:
                     f"difference ({self.n},), got {self.dops}"
                 )
             return
-        if any(not 1 <= d <= self.n - 1 for d in self.dops):
+        if min(self.dops) < 1 or max(self.dops) > self.n - 1:
             raise ValueError(f"differences must lie in [1, {self.n - 1}]")
         if sum(self.dops) != self.n:
             raise ValueError(
@@ -158,11 +152,11 @@ def rotations(dops: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def _standard_rotation(dops: tuple[int, ...]) -> tuple[int, ...]:
     # Canonical rotation: maximal last element, then lexicographically
-    # smallest tuple among the survivors.  A fully symmetric tuple has a
-    # single distinct rotation and is returned unchanged.
-    rots = rotations(dops)
-    top = max(r[-1] for r in rots)
-    return min(r for r in rots if r[-1] == top)
+    # smallest tuple among the survivors.  Only the rotations that end at a
+    # maximal element are formed.  A fully symmetric tuple has a single
+    # distinct rotation and is returned unchanged.
+    top = max(dops)
+    return min(dops[i + 1 :] + dops[: i + 1] for i, d in enumerate(dops) if d == top)
 
 
 class StandardDopr(Dopr):
@@ -191,7 +185,7 @@ class PartialDopr:
         u = len(self.dops)
         if not 1 <= u < self.w:
             raise ValueError(f"a partial form needs 1..{self.w - 1} elements")
-        if any(not 1 <= d <= self.n - 1 for d in self.dops):
+        if min(self.dops) < 1 or max(self.dops) > self.n - 1:
             raise ValueError(f"differences must lie in [1, {self.n - 1}]")
         if sum(self.dops) > self.n - (self.w - u):
             raise ValueError(

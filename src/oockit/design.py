@@ -4,7 +4,13 @@ Codes are built one difference at a time.  Opening pairs that respect the
 positional ranges and the self-correlation ceiling seed a pool; each stage
 links compatible partial codes into a graph, harvests greedy cliques, and
 grows every clique member by one more difference, the step that also
-made the opening pairs from single differences.  Once a single free
+made the opening pairs from single differences.  That step counts, once
+per parent, how often each cyclic distance occurs between the one-bits of
+the parent's closed companion; a candidate difference adds one one-bit,
+so only its distances to and from the parent's one-bits are new, and the
+candidate passes when no count then exceeds the ceiling.  A rejected
+candidate builds no object, and a kept one builds its difference table
+only when a graph reads it.  Once a single free
 position remains, the closing difference is forced by the length: each
 member is completed, put in canonical rotation and kept once per rotation
 class, the last graph is built on those complete codes, and its cliques
@@ -14,8 +20,9 @@ compete for membership in the emitted family.
 from __future__ import annotations
 
 import logging
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .cliques import (
     CliqueSet,
@@ -34,7 +41,6 @@ from .codes import (
     max_difference_at,
     standardize,
 )
-from .correlation import autocorr_edop
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
 # four names on this module, so they must stay importable from it.
@@ -76,7 +82,8 @@ def enumerate_first_pairs(params: CodeParams) -> tuple[PartialDopr, ...]:
     The extension step applied to every first difference in its range:
     the two differences are distinct whatever the ceiling, each stays
     inside its positional range, and the pair on its own already meets
-    the self-correlation ceiling.  Pairs come in lexicographic order.
+    the self-correlation ceiling, judged by the distance counts of
+    `extend_clique_codes`.  Pairs come in lexicographic order.
     """
     if params.w < 3:
         raise ValueError("opening pairs need weight at least 3")
@@ -90,10 +97,17 @@ def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
 
     A new difference must stay inside its positional range, leave room for
     the positions still unfilled, and keep the partial self correlation
-    within the ceiling.  A difference equal to its predecessor is skipped
-    unscored when the ceiling is 1, where it can never survive, and when
-    it would be the second difference: one-difference codes extend as in
-    `enumerate_first_pairs`, into pairs of distinct differences.
+    within the ceiling.  That correlation is the largest number of times
+    one cyclic distance occurs between the one-bits of the closed
+    companion.  Each parent's distances are counted once; a candidate
+    adds the 2(u+1) distances between its new one-bit and the parent's,
+    so it costs O(u) integer steps, and only a candidate that passes
+    becomes a `PartialDopr`.  A parent already over the ceiling yields
+    nothing, since adding a one-bit never lowers a count.  A difference
+    equal to its predecessor is skipped unscored when the ceiling is 1,
+    where it can never survive, and when it would be the second
+    difference: one-difference codes extend as in `enumerate_first_pairs`,
+    into pairs of distinct differences.
     """
     return _extend(codes, params)
 
@@ -101,24 +115,38 @@ def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
 # Both public functions call this rather than each other, so that a traced
 # run files the opening pairs and the extensions under separate spans.
 def _extend(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
-    n, w = params.n, params.w
+    n, w, lam = params.n, params.w, params.lambda_a
     out: list[PartialDopr] = []
     seen: set[tuple[int, ...]] = set()
     for code in codes:
         u = code.u
         if u + 1 >= w:
             raise ValueError("cannot extend past the last free position")
-        total = sum(code.dops)
+        # How often each cyclic distance occurs between the closed companion's
+        # one-bits; the largest count is the companion's self correlation.
+        pos = list(accumulate(code.dops, initial=0))
+        counts = Counter((q - p) % n for p in pos for q in pos if p != q)
+        if max(counts.values()) > lam:
+            continue  # a child's counts are never below its parent's
+        total = pos[-1]
         cap = min(max_difference_at(n, w, u + 1), n - (w - u - 1) - total)
         for e in range(1, cap + 1):
-            if e == code.dops[-1] and (u == 1 or params.lambda_a == 1):
+            if e == code.dops[-1] and (u == 1 or lam == 1):
                 continue
-            cand = PartialDopr(code.dops + (e,), n, w)
-            if autocorr_edop(cand).lambda_ax > params.lambda_a:
-                continue
-            if cand.dops not in seen:
-                seen.add(cand.dops)
-                out.append(cand)
+            # The child adds one-bit x: only its distances to and from the
+            # parent's one-bits are new.
+            x = total + e
+            grown: dict[int, int] = {}
+            for m in [(x - p) % n for p in pos] + [(p - x) % n for p in pos]:
+                k = grown.get(m, counts.get(m, 0)) + 1
+                if k > lam:
+                    break
+                grown[m] = k
+            else:
+                dops = code.dops + (e,)
+                if dops not in seen:
+                    seen.add(dops)
+                    out.append(PartialDopr(dops, n, w))
     return tuple(out)
 
 
@@ -136,8 +164,9 @@ def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
 
     Each member is closed with the difference the length forces and put in
     canonical rotation; the first code of each class in pool order is kept.
-    The members already meet the self-correlation ceiling, because a
-    partial code's table at u = w-1 is the complete code's table.
+    The members already meet the self-correlation ceiling, because
+    extension judged each one's closed companion, which at u = w-1 is the
+    complete code.
 
     The positional ranges prune most rotational duplicates from a pool but
     not all of them.  Duplicates are poison for the degree-greedy walk:

@@ -13,9 +13,11 @@ entry between a row of one table and a row of the other.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # annotations only: codes imports this module at run time
@@ -29,6 +31,14 @@ __all__ = [
     "zero_augment",
     "check_complement_closure",
 ]
+
+
+def _check_integers(what: str, *values) -> None:
+    """Refuse bools and floats such as 7.0, which documents cannot round-trip."""
+    if set(map(type, values)) <= {int}:
+        return
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+        raise ValueError(f"{what} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -49,12 +59,13 @@ class EdopMatrix:
         width = len(self.rows[0])
         if width == 0 or len(self.rows) != width + 1:
             raise ValueError("table must have one more row than columns")
+        if any(len(row) != width for row in self.rows):
+            raise ValueError("rows must have equal length")
+        _check_integers("n and each entry", self.n, *chain.from_iterable(self.rows))
         for row in self.rows:
-            if len(row) != width:
-                raise ValueError("rows must have equal length")
-            if any(not 1 <= e <= self.n - 1 for e in row):
+            if min(row) < 1 or max(row) > self.n - 1:
                 raise ValueError(f"entries must lie in [1, {self.n - 1}]")
-            if any(a >= b for a, b in zip(row, row[1:])):
+            if not all(map(operator.lt, row, row[1:])):
                 raise ValueError("row entries must be strictly increasing")
 
     @property
@@ -85,15 +96,8 @@ class ZeroAugmentedEdop:
 
 def _anchored_rows(dops: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     w = len(dops)
-    rows = []
-    for j in range(w):
-        acc = 0
-        row = []
-        for k in range(w - 1):
-            acc += dops[(j + k) % w]
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    doubled = dops + dops
+    return tuple(tuple(accumulate(doubled[j : j + w - 1])) for j in range(w))
 
 
 def edop_full(dopr: Dopr) -> EdopMatrix:

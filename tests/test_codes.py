@@ -101,8 +101,6 @@ def test_code_forms_reject_bools_and_floats(make):
         (lambda: Dopr((0, 3, 4), 7), "differences must lie in [1, 6]"),
         (lambda: Dopr((7, 1, -1), 7), "differences must lie in [1, 6]"),
         (lambda: Dopr((1, 2, 5), 7), "differences must sum to n=7, got 8"),
-        (lambda: Dopr((True, 2, 4), 7), "n and each difference must be an integer"),
-        (lambda: Dopr((1, 2, 4), 7.0), "n and each difference must be an integer"),
         (lambda: StandardDopr((2, 4, 1), 7), "(2, 4, 1) is not the canonical rotation"),
         (lambda: PartialDopr((), 7, 3), "a partial form needs 1..2 elements"),
         (lambda: PartialDopr((1, 2, 4), 7, 3), "a partial form needs 1..2 elements"),
@@ -112,13 +110,10 @@ def test_code_forms_reject_bools_and_floats(make):
             lambda: PartialDopr((3, 4), 7, 3),
             "prefix (3, 4) leaves no room for 1 more differences within n=7",
         ),
-        (lambda: PartialDopr((1.5, 2), 7, 3), "n, w and each difference must be"),
-        (lambda: PartialDopr((1, 2), 7, False), "n, w and each difference must be"),
         (lambda: Wpr((), 7), "a code needs at least one weighted position"),
         (lambda: Wpr((0, 7), 7), "positions must lie in [0, 7)"),
         (lambda: Wpr((-1, 3), 7), "positions must lie in [0, 7)"),
         (lambda: Wpr((0, 3, 3), 7), "positions must be strictly increasing"),
-        (lambda: Wpr((0, True), 7), "n and each position must be an integer"),
     ],
 )
 def test_code_forms_refuse_malformed_input_with_their_messages(make, message):

@@ -10,6 +10,7 @@ from oockit import (
     DesignConfig,
     PartialDopr,
     Wpr,
+    build_graph,
     design_fixed,
     design_multi,
     document_from_family,
@@ -296,15 +297,19 @@ def test_multi_design_designs_a_repeated_tuple_once(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "params, built",
     [
-        (CodeParams(25, 3, 1, 1), 201),
-        (CodeParams(19, 4, 2, 2), 581),
-        (CodeParams(25, 4, 2, 2), 1470),
+        (CodeParams(25, 3, 1, 1), 80),
+        (CodeParams(19, 4, 2, 2), 234),
+        (CodeParams(25, 4, 2, 2), 573),
     ],
 )
 def test_design_builds_each_code_table_once(monkeypatch, params, built):
-    """Every table the designer reads is built by its code, once per code."""
+    """Every table the designer reads is built by its code, once per code.
+
+    Extension judges candidates without tables, so only graph nodes own one.
+    """
     # Holding each argument keeps its id from being reused by a later code.
     seen = []
+    nodes = []
 
     def counted(build):
         def wrapper(code):
@@ -313,10 +318,17 @@ def test_design_builds_each_code_table_once(monkeypatch, params, built):
 
         return wrapper
 
+    def graphed(pool, threshold):
+        graph = build_graph(pool, threshold)
+        nodes.append(len(graph.nodes))
+        return graph
+
     for name in ("edop_full", "edop_partial"):
         monkeypatch.setattr(codes, name, counted(getattr(codes, name)))
+    monkeypatch.setattr("oockit.design.build_graph", graphed)
     design_fixed(params)
     assert len({id(code) for code in seen}) == len(seen) == built
+    assert sum(nodes) == built
 
 
 def test_dedup_by_class_feeds_the_final_stage():

@@ -156,6 +156,11 @@ def test_matrix_validation_rejects_malformed_rows():
         (((1, 2), (1, 3), (2, -3)), 5, "entries must lie in [1, 4]"),
         (((2, 1), (1, 3), (2, 3)), 5, "row entries must be strictly increasing"),
         (((1, 2), (1, 3), (3, 3)), 5, "row entries must be strictly increasing"),
+        # Tables are public inputs to the correlation functions, which would
+        # score a float entry like any other.
+        (((1.5, 2), (1, 3), (2, 3)), 5, "n and each entry must be an integer"),
+        (((True, 2), (1, 3), (2, 3)), 5, "n and each entry must be an integer"),
+        (((1, 2), (1, 3), (2, 3)), 5.0, "n and each entry must be an integer"),
     ],
 )
 def test_matrix_validation_messages(rows, n, message):
