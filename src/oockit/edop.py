@@ -35,9 +35,7 @@ __all__ = [
 
 def _check_integers(what: str, *values) -> None:
     """Refuse bools and floats such as 7.0, which documents cannot round-trip."""
-    if set(map(type, values)) <= {int}:
-        return
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+    if any(issubclass(t, bool) or not issubclass(t, int) for t in set(map(type, values))):
         raise ValueError(f"{what} must be an integer")
 
 
