@@ -43,3 +43,13 @@ def test_submodule_imports_first(name):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+# The package and each public submodule; ``__main__`` only runs the CLI.
+EXPORTERS = ["oockit", *(f"oockit.{m}" for m in SUBMODULES if not m.startswith("_"))]
+
+
+@pytest.mark.parametrize("name", EXPORTERS)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

@@ -10,6 +10,8 @@ undirected graph.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +30,7 @@ from oockit import (
     enumerate_cliques,
     greedy_clique,
     interset_crosscorr,
+    select_family,
 )
 
 from oracles import greedy_walk, greedy_walks, max_cross
@@ -98,6 +101,16 @@ def test_clique_set_matrix_matches_interset_crosscorr(sets):
             assert matrix.raw[i][j] == interset_crosscorr(a, b)
             limit = min(a.params.lambda_c, b.params.lambda_c) + 1
             assert matrix.normalized[i][j] == int(i != j and matrix.raw[i][j] <= limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(candidate_sets(), max_size=6), st.none() | st.integers(1, 6))
+def test_family_level_is_the_largest_peak_among_kept_sets(sets, max_sets):
+    family = select_family(sets, max_sets)
+    assert family.interset_lambda == max(
+        (interset_crosscorr(a, b) for a, b in combinations(family.sets, 2)),
+        default=0,
+    )
 
 
 @st.composite
