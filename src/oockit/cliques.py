@@ -19,18 +19,19 @@ the same set share its tail; the map lives only for that call.
 
 The designer's graph build, clique walk and family selection share one
 int-bitset kernel.  Two rows of difference tables share k or more entries
-exactly when they have a k-entry subset in common.  So each call numbers
-the k-entry subsets of the table rows it meets (`_subsets`), and a code
-or a set of codes becomes an int with one bit per subset it owns: two of
-them share k entries in some pair of rows exactly when their level-k
-masks intersect, and level 1 is the plain entry set.  `build_graph`
-keeps, per subset, the bitset of the codes owning it, so a code's
-non-neighbors are the union of a few ints; `clique_set_matrix` finds each
-inter-set peak by intersecting levels 1, 2, ... until one comes up
-empty.  A graph's adjacency is one int mask per node and nothing else:
-the walk scores a node with ``int.bit_count``, and the neighbor sets are
-only read off the masks on request.  Each code builds its own table once
-and keeps it (`Dopr.table`); the subset numbering lives for one call.
+exactly when they have a k-entry subset in common.  So `_clashes` takes
+groups of table rows (a code's rows, or all rows of a set's members),
+numbers their k-entry subsets and keeps, per subset, the bitset of the
+groups owning it: a group's clashing groups are the union of its
+subsets' owners, a few ints.  `build_graph` joins the codes that do not
+clash at the design threshold, `clique_set_matrix` the candidate sets
+that do not clash one entry above the stricter of their ceilings, and
+`select_family` reads the family level off the largest k at which two
+kept sets still clash.  A graph's adjacency is one int mask per node and
+nothing else: the walk scores a node with ``int.bit_count``, and the
+neighbor sets are only read off the masks on request.  Each code builds
+its own table once and keeps it (`Dopr.table`); the subset numbering
+lives for one call.
 
 The public correlation functions (`crosscorr_edop`,
 `interset_crosscorr`), set assembly (`make_clique_set`),
@@ -53,6 +54,7 @@ from .correlation import (
     set_lambda_a,
     set_lambda_c,
 )
+from .edop import _check_integers
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
 # three names on this module, so they must stay importable from it.
@@ -62,7 +64,6 @@ from .edop import edop_full, edop_partial  # noqa: F401
 __all__ = [
     "CodeGraph",
     "CliqueSet",
-    "CliqueSetMatrix",
     "Family",
     "build_graph",
     "greedy_clique",
@@ -125,18 +126,27 @@ def _members(mask: int, size: int):
     return compress(range(size), digits)
 
 
-def _subsets(rows, k: int, bits: dict) -> set[int]:
-    """Numbers of the k-entry subsets of any of the difference-table ``rows``.
+def _clashes(row_groups, k: int) -> list[int]:
+    """Per group of table rows, the bitset of groups sharing a k-subset.
 
-    Two rows share k or more entries exactly when they have a k-entry
-    subset in common.  ``bits`` numbers the subsets as they are first
-    seen, so numbers compare only when drawn from the same ``bits``.
+    A group's own bit is always included.  Two rows share k or more
+    entries exactly when they have a k-entry subset in common.  Each
+    subset, numbered as first seen, keeps the bitset of the groups that
+    own it, so a group's clashes are the union of its subsets' owners.
     """
-    return {
-        bits.setdefault(subset, len(bits))
-        for row in rows
-        for subset in combinations(row, k)
-    }
+    bits: dict = {}
+    owned = [
+        {bits.setdefault(s, len(bits)) for row in rows for s in combinations(row, k)}
+        for rows in row_groups
+    ]
+    owners = [0] * len(bits)
+    for i, subsets in enumerate(owned):
+        for b in subsets:
+            owners[b] |= 1 << i
+    return [
+        reduce(or_, map(owners.__getitem__, subsets), 1 << i)
+        for i, subsets in enumerate(owned)
+    ]
 
 
 def build_graph(codes, threshold: int) -> CodeGraph:
@@ -144,25 +154,14 @@ def build_graph(codes, threshold: int) -> CodeGraph:
 
     That is, no row of one table shares ``threshold`` entries with a row
     of the other: the two codes own no ``threshold``-entry subset in
-    common.  Each subset keeps the bitset of the codes that own it, so a
-    code's non-neighbors are the union of its subsets' owners.
+    common.
     """
     nodes = tuple(codes)
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
-    size = len(nodes)
-    bits: dict = {}
-    owned = [_subsets(c.table.rows, threshold, bits) for c in nodes]
-    owners = [0] * len(bits)
-    for i, subsets in enumerate(owned):
-        for b in subsets:
-            owners[b] |= 1 << i
-    everyone = (1 << size) - 1
-    masks = []
-    for i, subsets in enumerate(owned):
-        clash = reduce(or_, map(owners.__getitem__, subsets), 1 << i)
-        masks.append(everyone & ~clash)
-    return CodeGraph(nodes, tuple(masks))
+    everyone = (1 << len(nodes)) - 1
+    clashes = _clashes([c.table.rows for c in nodes], threshold)
+    return CodeGraph(nodes, tuple(everyone & ~m for m in clashes))
 
 
 def _walk(masks, size: int, active: int, tails: dict) -> tuple[int, ...]:
@@ -342,57 +341,44 @@ def _clique_key(clique: CliqueSet):
     )
 
 
-@dataclass(frozen=True)
-class CliqueSetMatrix:
-    """Pairwise inter-set correlations of candidate cliques.
-
-    ``raw`` holds the inter-set peaks (the diagonal is the code weight,
-    every set against itself); ``normalized`` marks acceptably separated
-    pairs with 1 and zeroes the diagonal.  A pair is separated when its
-    peak is at most the stricter of the two sets' cross ceilings plus one.
-    """
-
-    cliques: tuple[CliqueSet, ...]
-    raw: tuple[tuple[int, ...], ...]
-    normalized: tuple[tuple[int, ...], ...]
+def _check_max_sets(max_sets) -> None:
+    """Refuse a ``max_sets`` that is given but not a positive integer."""
+    if max_sets is not None:
+        _check_integers("max_sets", max_sets)
+        if max_sets < 1:
+            raise ValueError("max_sets must be positive when given")
 
 
-def clique_set_matrix(cliques) -> CliqueSetMatrix:
-    """Inter-set peaks of every pair, judged against per-pair limits.
+def _set_rows(clique: CliqueSet) -> list[tuple[int, ...]]:
+    return [row for c in clique.codes for row in c.table.rows]
 
-    Each set's own ``params.lambda_c`` is its cross ceiling; a pair may
-    rise to min(lambda_c of both) + 1, the floor forced between distinct
-    maximal cliques.
+
+def clique_set_matrix(cliques) -> CodeGraph:
+    """Separation graph of candidate sets, one node per set.
+
+    Two sets are joined when their members' rows share no
+    (min(lambda_c of both) + 1)-entry subset.  Each set's own
+    ``params.lambda_c`` is its cross ceiling, so a joined pair's inter-set
+    peak is at most the stricter ceiling plus one, the floor forced
+    between distinct maximal cliques.  Each distinct ceiling c judges its
+    own sets at c + 1 entries; a clash found there with a set of higher
+    ceiling is mirrored onto that set, whose own level would miss it.
     """
     items = tuple(cliques)
     size = len(items)
-    ceilings = [c.params.lambda_c for c in items]
-    bits: dict = {}
-    # levels[i][k - 1]: the k-entry subsets owned by set i's member rows.
-    levels = []
-    for s in items:
-        rows = [row for c in s.codes for row in c.table.rows]
-        levels.append([
-            sum(1 << b for b in _subsets(rows, k, bits))
-            for k in range(1, max(map(len, rows)) + 1)
-        ])
-    raw = [[0] * size for _ in range(size)]
-    normalized = [[0] * size for _ in range(size)]
-    for i, xs in enumerate(levels):
-        # One more than the most entries any two member rows share; from
-        # j = i, as a set against itself peaks at w in `interset_crosscorr`.
-        for j in range(i, size):
-            shared = 0
-            for x, y in zip(xs, levels[j]):
-                if not x & y:
-                    break
-                shared += 1
-            raw[i][j] = raw[j][i] = 1 + shared
-            if j > i and raw[i][j] <= min(ceilings[i], ceilings[j]) + 1:
-                normalized[i][j] = normalized[j][i] = 1
-    return CliqueSetMatrix(
-        items, tuple(tuple(r) for r in raw), tuple(tuple(r) for r in normalized)
-    )
+    ceilings = [s.params.lambda_c for s in items]
+    rows = [_set_rows(s) for s in items]
+    clash = [0] * size
+    for c in set(ceilings):
+        level = _clashes(rows, c + 1)
+        higher = sum(1 << j for j, cj in enumerate(ceilings) if cj > c)
+        for i in compress(range(size), map(c.__eq__, ceilings)):
+            clash[i] |= level[i]
+            if level[i] & higher:
+                for j in _members(level[i] & higher, size):
+                    clash[j] |= 1 << i
+    everyone = (1 << size) - 1
+    return CodeGraph(items, tuple(everyone & ~m for m in clash))
 
 
 @dataclass(frozen=True)
@@ -406,20 +392,26 @@ class Family:
 def select_family(cliques, max_sets: int | None = None) -> Family:
     """Keep a greedy clique of candidate sets under the separation rule.
 
-    Two sets are joined when their inter-set peak is at most the stricter
-    of their two cross ceilings plus one (see `clique_set_matrix`); the
-    degree-greedy walk over that graph picks the family.  The chosen sets
-    are sorted canonically and the first ``max_sets`` kept.  The family
-    level is the largest peak among the kept sets; fewer than two record 0.
+    The degree-greedy walk over the separation graph (see
+    `clique_set_matrix`) picks the family.  The chosen sets are sorted
+    canonically and the first ``max_sets`` kept.  The family level is one
+    more than the largest k at which two kept sets still share a k-entry
+    subset of their members' rows, their largest inter-set peak; fewer
+    than two kept sets record 0.
     """
-    items = tuple(cliques)
-    matrix = clique_set_matrix(items)
-    masks = tuple(
-        int("".join(map(str, reversed(row))), 2) for row in matrix.normalized
-    )
-    graph = CodeGraph(items, masks)
+    _check_max_sets(max_sets)
+    graph = clique_set_matrix(cliques)
+    items = graph.nodes
     chosen = sorted(
         greedy_clique(graph), key=lambda i: (_clique_key(items[i]), i)
     )[:max_sets]
-    peak = max((matrix.raw[i][j] for i, j in combinations(chosen, 2)), default=0)
-    return Family(tuple(items[i] for i in chosen), peak)
+    kept = tuple(items[i] for i in chosen)
+    if len(kept) < 2:
+        return Family(kept, 0)
+    rows = [_set_rows(s) for s in kept]
+    shared = 0
+    # A group's own bit is always set, so m & (m - 1) marks a clash with
+    # another kept set.
+    while any(m & (m - 1) for m in _clashes(rows, shared + 1)):
+        shared += 1
+    return Family(kept, 1 + shared)

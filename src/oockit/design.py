@@ -27,6 +27,7 @@ from itertools import accumulate
 from .cliques import (
     CliqueSet,
     Family,
+    _check_max_sets,
     build_graph,
     enumerate_cliques,
     make_clique_set,
@@ -72,8 +73,7 @@ class DesignConfig:
             raise ValueError("parameter_list must not be empty")
         if not all(isinstance(p, CodeParams) for p in self.parameter_list):
             raise TypeError("parameter_list entries must be CodeParams")
-        if self.max_sets is not None and self.max_sets < 1:
-            raise ValueError("max_sets must be positive when given")
+        _check_max_sets(self.max_sets)
 
 
 def enumerate_first_pairs(params: CodeParams) -> tuple[PartialDopr, ...]:
@@ -206,8 +206,7 @@ def design_fixed(params: CodeParams, max_sets: int | None = None) -> Family:
     parameters, not an error.  ``max_sets`` caps both the cliques carried
     forward at each stage and the sets finally emitted.
     """
-    if max_sets is not None and max_sets < 1:
-        raise ValueError("max_sets must be positive when given")
+    _check_max_sets(max_sets)
     if params.w < 3:
         raise ValueError("the designer needs weight at least 3")
     first = enumerate_first_pairs(params)

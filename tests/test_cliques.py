@@ -275,9 +275,10 @@ def test_clique_set_matrix_values():
     params = CodeParams(7, 3, 1, 1)
     a = make_clique_set([Dopr((1, 2, 4), 7)], params)
     b = make_clique_set([Dopr((2, 1, 4), 7)], params)
-    matrix = clique_set_matrix([a, b])
-    assert matrix.raw == ((3, 2), (2, 3))  # diagonal is the weight
-    assert matrix.normalized == ((0, 1), (1, 0))
+    graph = clique_set_matrix([a, b])
+    # the pair peaks at 2, within the limit 1 + 1
+    assert graph.nodes == (a, b)
+    assert graph.masks == (0b10, 0b01)
 
 
 def test_clique_set_matrix_limits_each_pair_by_its_stricter_ceiling():
@@ -285,9 +286,15 @@ def test_clique_set_matrix_limits_each_pair_by_its_stricter_ceiling():
     loose = make_clique_set(code, CodeParams(7, 3, 2, 2))
     also_loose = make_clique_set(code, CodeParams(7, 3, 1, 2))
     strict = make_clique_set(code, CodeParams(7, 3, 1, 1))
-    matrix = clique_set_matrix([loose, also_loose, strict])
     # identical codes peak at the weight 3, within 2 + 1 but not 1 + 1
-    assert matrix.normalized == ((0, 1, 0), (1, 0, 0), (0, 0, 0))
+    for order in ((loose, also_loose, strict), (strict, loose, also_loose)):
+        graph = clique_set_matrix(order)
+        edges = {
+            frozenset((order[v], order[u]))
+            for v in range(3)
+            for u in graph.neighbors[v]
+        }
+        assert edges == {frozenset((loose, also_loose))}
 
 
 def test_select_family_keeps_separated_sets():
@@ -306,6 +313,15 @@ def test_select_family_degenerate_inputs():
     family = select_family([a])
     assert family.sets == (a,)
     assert family.interset_lambda == 0
+
+
+@pytest.mark.parametrize("max_sets", [0, -1, True, 1.5, "1"])
+def test_select_family_refuses_a_bad_cap(max_sets):
+    params = CodeParams(7, 3, 1, 1)
+    a = make_clique_set([Dopr((1, 2, 4), 7)], params)
+    b = make_clique_set([Dopr((2, 1, 4), 7)], params)
+    with pytest.raises(ValueError, match="max_sets"):
+        select_family([a, b], max_sets=max_sets)
 
 
 def test_select_family_truncates_after_the_canonical_sort():

@@ -251,6 +251,14 @@ def test_config_validation():
         DesignConfig((P7,), max_sets=0)
 
 
+@pytest.mark.parametrize("max_sets", [-1, True, 1.5])
+def test_design_entry_points_refuse_a_bad_cap(max_sets):
+    with pytest.raises(ValueError, match="max_sets"):
+        design_fixed(P7, max_sets=max_sets)
+    with pytest.raises(ValueError, match="max_sets"):
+        DesignConfig((P7,), max_sets=max_sets)
+
+
 def test_multi_design_single_entry_defers_to_fixed():
     assert design_multi(DesignConfig((P7,))) == design_fixed(P7)
 

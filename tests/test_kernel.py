@@ -1,11 +1,14 @@
 """The designer's int-bitset kernel against the independent routes.
 
-`build_graph`, `greedy_clique`, `enumerate_cliques` and
-`clique_set_matrix` work on subset masks and adjacency bitsets; here
-random inputs hold them to `crosscorr_edop`, `interset_crosscorr` and the
-plain-set oracles, which share no code with the kernel, and hold
-`CodeGraph`'s checks on its masks to the plain definition of a simple
-undirected graph.
+`build_graph`, `clique_set_matrix` and `select_family` judge rows through
+one owner bitset per k-entry subset, and `greedy_clique` and
+`enumerate_cliques` walk adjacency bitsets; here random inputs hold the
+graphs' edges and the family level to `crosscorr_edop`,
+`interset_crosscorr` and the plain-set oracles, which share no code with
+the kernel, and hold `CodeGraph`'s checks on its masks to the plain
+definition of a simple undirected graph.  Candidate sets mix lengths,
+weights and cross ceilings, so each pair is judged at its own stricter
+ceiling.
 """
 
 from __future__ import annotations
@@ -95,12 +98,13 @@ def candidate_sets(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(candidate_sets(), max_size=6))
 def test_clique_set_matrix_matches_interset_crosscorr(sets):
-    matrix = clique_set_matrix(sets)
+    graph = clique_set_matrix(sets)
+    assert graph.nodes == tuple(sets)
     for i, a in enumerate(sets):
         for j, b in enumerate(sets):
-            assert matrix.raw[i][j] == interset_crosscorr(a, b)
             limit = min(a.params.lambda_c, b.params.lambda_c) + 1
-            assert matrix.normalized[i][j] == int(i != j and matrix.raw[i][j] <= limit)
+            joined = i != j and interset_crosscorr(a, b) <= limit
+            assert (j in graph.neighbors[i]) == joined
 
 
 @settings(max_examples=60, deadline=None)
