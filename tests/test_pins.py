@@ -7,8 +7,9 @@ group is every key of ``perfbench/pins.json``, read from that file, whose
 keys spell the design call (``n,w,lambda_a,lambda_c`` tuples joined by
 ``+``, then an optional ``/max_sets=k``); the second covers merges of
 tuples with different cross ceilings, ``--max-sets`` caps applied
-after a merge, and w = 3 graphs whose many top-degree walks share their
-tails, which no benchmark pin exercises.
+after a merge, w = 3 graphs whose many top-degree walks share their
+tails, and a large w = 3 tuple whose last graph yields far more
+candidate sets than the family keeps, which no benchmark pin exercises.
 """
 
 from __future__ import annotations
@@ -74,6 +75,12 @@ PINS |= {
     "55,3,1,1": (
         ["--n", "55", "--w", "3"],
         "feeda63a0ab0eb6c322b5157fe1db1948a84cc26dd97038478be5edfe88929d3",
+    ),
+    # 1,142 last-stage candidate sets, of which only the 17 emitted ones
+    # pass through `make_clique_set`.
+    "91,3,1,1": (
+        ["--n", "91", "--w", "3"],
+        "a8199a2475199a7cd0ed86d343ea5e190957d81efaf97457914b3d84b1935397",
     ),
 }
 
