@@ -302,18 +302,25 @@ class CliqueSet:
 def make_clique_set(codes, params: CodeParams) -> CliqueSet:
     """Assemble and re-verify a clique of complete codes.
 
-    Codes are sorted canonically.  Self correlations and pairwise cross
-    correlations are recomputed and checked against the parameters; a
+    The designer's guard: `design_fixed` leaves its candidate sets
+    unverified and assembles only the sets its family keeps through this
+    function, so every emitted set passes here.  Anything but a complete
+    code (`Dopr`) is refused with a `TypeError`.  Codes are sorted
+    canonically.  Self correlations and pairwise cross correlations are
+    recomputed by the table route and checked against the parameters; a
     singleton records a pairwise value of 0 since it has no pairs.  The
     cardinality bound is recorded, and enforced when the two correlation
     ceilings coincide (the regime the bound is stated for).
     """
-    ordered = tuple(sorted(codes, key=lambda c: c.dops))
-    if not ordered:
+    codes = tuple(codes)
+    if not codes:
         raise ValueError("a clique set needs at least one code")
-    for c in ordered:
+    for c in codes:
+        if not isinstance(c, Dopr):
+            raise TypeError(f"expected a complete code (Dopr), got {c!r}")
         if c.n != params.n or c.weight != params.w:
             raise ValueError(f"code {c.dops} does not match {params}")
+    ordered = tuple(sorted(codes, key=lambda c: c.dops))
     lam_a = set_lambda_a(ordered)
     if lam_a > params.lambda_a:
         raise ValueError(
@@ -397,7 +404,9 @@ def select_family(cliques, max_sets: int | None = None) -> Family:
     canonically and the first ``max_sets`` kept.  The family level is one
     more than the largest k at which two kept sets still share a k-entry
     subset of their members' rows, their largest inter-set peak; fewer
-    than two kept sets record 0.
+    than two kept sets record 0.  A set is read only through its
+    ``codes``, in canonical order, and its ``params``, so the designer
+    passes unverified candidates and guards the kept ones afterwards.
     """
     _check_max_sets(max_sets)
     graph = clique_set_matrix(cliques)

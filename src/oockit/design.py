@@ -14,7 +14,10 @@ only when a graph reads it.  Once a single free
 position remains, the closing difference is forced by the length: each
 member is completed, put in canonical rotation and kept once per rotation
 class, the last graph is built on those complete codes, and its cliques
-compete for membership in the emitted family.
+compete for membership in the emitted family.  They compete as plain
+candidates, unverified; only the sets the family keeps are assembled by
+`make_clique_set`, whose independent recheck of every self and cross
+correlation and of the cardinality bound thus guards each emitted set.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import logging
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate
+from types import SimpleNamespace
 
 from .cliques import (
-    CliqueSet,
     Family,
     _check_max_sets,
     build_graph,
@@ -202,17 +205,22 @@ def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
 def design_fixed(params: CodeParams, max_sets: int | None = None) -> Family:
     """Design a family of code sets for a single parameter tuple.
 
-    An empty family means the search found no conforming set for these
-    parameters, not an error.  ``max_sets`` caps both the cliques carried
-    forward at each stage and the sets finally emitted.
+    Each clique of the last graph is a candidate, kept once per set of
+    codes and left unverified: family selection reads only its codes'
+    tables and its tuple.  Only the sets the family keeps go through
+    `make_clique_set`, so every emitted set is guarded.  An empty family
+    means the search found no conforming set for these parameters, not an
+    error.  ``max_sets`` caps both the cliques carried forward at each
+    stage and the sets finally emitted.
     """
     _check_max_sets(max_sets)
     if params.w < 3:
         raise ValueError("the designer needs weight at least 3")
     first = enumerate_first_pairs(params)
 
-    candidates: list[CliqueSet] = []
-    emitted: set[tuple] = set()
+    # Each candidate is a plain namespace of its codes, in canonical order,
+    # and its tuple: all that family selection reads.
+    candidates: dict[tuple, SimpleNamespace] = {}
     pools = deque([first])
     while pools:
         pool = pools.popleft()
@@ -228,12 +236,15 @@ def design_fixed(params: CodeParams, max_sets: int | None = None) -> Family:
             if not final:
                 pools.append(extend_clique_codes(members, params))
                 continue
-            done = make_clique_set(members, params)
-            key = (done.params, tuple(c.dops for c in done.codes))
-            if key not in emitted:
-                emitted.add(key)
-                candidates.append(done)
-    return select_family(candidates, max_sets)
+            codes = tuple(sorted(members, key=lambda c: c.dops))
+            key = tuple(c.dops for c in codes)
+            if key not in candidates:
+                candidates[key] = SimpleNamespace(codes=codes, params=params)
+    family = select_family(tuple(candidates.values()), max_sets)
+    return Family(
+        tuple(make_clique_set(c.codes, c.params) for c in family.sets),
+        family.interset_lambda,
+    )
 
 
 def design_multi(config: DesignConfig) -> Family:

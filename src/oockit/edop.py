@@ -98,11 +98,22 @@ def _anchored_rows(dops: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(accumulate(doubled[j : j + w - 1])) for j in range(w))
 
 
+def _checked_table(dops: tuple[int, ...], n: int) -> EdopMatrix:
+    """Table of differences a code's constructor already checked.
+
+    At least two positive differences summing to n give strictly increasing
+    rows in [1, n-1], so the table skips `EdopMatrix.__post_init__`.
+    """
+    table = object.__new__(EdopMatrix)
+    vars(table).update(rows=_anchored_rows(dops), n=n)
+    return table
+
+
 def edop_full(dopr: Dopr) -> EdopMatrix:
     """Complete table of a weight >= 2 code."""
     if dopr.weight < 2:
         raise ValueError("difference tables need weight >= 2")
-    return EdopMatrix(_anchored_rows(dopr.dops), dopr.n)
+    return _checked_table(dopr.dops, dopr.n)
 
 
 def edop_partial(partial: PartialDopr) -> EdopMatrix:
@@ -112,8 +123,7 @@ def edop_partial(partial: PartialDopr) -> EdopMatrix:
     weight-(u+1) code whose full table this is: (u+1) rows of u entries.
     """
     closing = partial.n - sum(partial.dops)
-    closed = partial.dops + (closing,)
-    return EdopMatrix(_anchored_rows(closed), partial.n)
+    return _checked_table(partial.dops + (closing,), partial.n)
 
 
 def zero_augment(matrix: EdopMatrix) -> ZeroAugmentedEdop:

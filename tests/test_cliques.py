@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from oockit import (
+    BinaryCode,
     CodeGraph,
     CodeParams,
     Dopr,
+    PartialDopr,
     Wpr,
     build_graph,
     clique_set_matrix,
     dopr_from_wpr,
+    edop_full,
     enumerate_cliques,
     enumerate_first_pairs,
     greedy_clique,
@@ -256,6 +260,21 @@ def test_make_clique_set_sorts_and_records():
     assert made.bound == johnson_bound(7, 3, 1) == 1
     assert made.verified_lambda_a == 1
     assert made.verified_lambda_c == 0  # singletons have no pairs
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        PartialDopr((1, 3), 13, 3),
+        Wpr((0, 1, 4), 13),
+        BinaryCode((1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0)),
+        edop_full(Dopr((1, 3, 9), 13)),
+    ],
+    ids=lambda code: type(code).__name__,
+)
+def test_make_clique_set_refuses_what_is_not_a_complete_code(code):
+    with pytest.raises(TypeError, match=re.escape(repr(code))):
+        make_clique_set([Dopr((1, 3, 9), 13), code], CodeParams(13, 3))
 
 
 def test_make_clique_set_enforces_the_ceilings():

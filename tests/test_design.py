@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oockit.design
+
 from oockit import (
     CodeParams,
     DesignConfig,
@@ -21,6 +23,7 @@ from oockit import (
     interset_crosscorr,
     johnson_bound,
     last_difference_range,
+    make_clique_set,
     max_difference_at,
     standardize,
     to_canonical_json,
@@ -377,3 +380,56 @@ def test_designed_documents_verify_clean_and_meet_their_ceilings(parameter_list)
             assert max_auto(a.wpr, s.n) <= s.lambda_a
             for b in s.codes[i + 1 :]:
                 assert max_cross(a.wpr, b.wpr, s.n) <= s.lambda_c
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(small_params(), min_size=1, max_size=2),
+    st.sampled_from((None, 2)),
+)
+def test_every_candidate_set_would_pass_the_guard(parameter_list, max_sets):
+    """Only emitted sets are guarded; the unchosen ones would pass too."""
+    seen = []
+
+    def captured(cliques, cap=None):
+        seen.extend(cliques)
+        return select(cliques, cap)
+
+    select = oockit.design.select_family
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oockit.design, "select_family", captured)
+        design_multi(DesignConfig(parameter_list, max_sets=max_sets))
+    for c in seen:
+        made = make_clique_set(c.codes, c.params)
+        assert made.codes == c.codes
+
+
+@pytest.mark.parametrize(
+    "params, candidates, emitted",
+    [
+        (CodeParams(25, 3, 1, 1), 50, 9),
+        (CodeParams(31, 3, 1, 1), 90, 13),
+        (CodeParams(25, 4, 1, 2), 20, 5),
+    ],
+)
+def test_the_guard_runs_once_per_emitted_set(
+    monkeypatch, params, candidates, emitted
+):
+    sizes = []
+    guarded = []
+
+    def captured(cliques, cap=None):
+        sizes.append(len(cliques))
+        return select(cliques, cap)
+
+    def counted(codes, p):
+        guarded.append(codes)
+        return make_clique_set(codes, p)
+
+    select = oockit.design.select_family
+    monkeypatch.setattr(oockit.design, "select_family", captured)
+    monkeypatch.setattr(oockit.design, "make_clique_set", counted)
+    family = design_fixed(params)
+    assert sizes == [candidates]
+    assert len(guarded) == len(family.sets) == emitted
+    assert [s.codes for s in family.sets] == guarded

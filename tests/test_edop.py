@@ -66,10 +66,10 @@ def test_partial_table_at_full_prefix_equals_the_full_table():
 
 
 @st.composite
-def table_owners(draw):
-    """A Dopr, StandardDopr or PartialDopr with n in 4..40 and w in 2..6."""
-    n = draw(st.integers(4, 40))
-    w = draw(st.integers(2, min(6, n - 1)))
+def table_owners(draw, max_n=40, max_w=6):
+    """A Dopr, StandardDopr or PartialDopr with n in 4..max_n and w in 2..max_w."""
+    n = draw(st.integers(4, max_n))
+    w = draw(st.integers(2, min(max_w, n - 1)))
     rest = draw(st.sets(st.integers(1, n - 1), min_size=w - 1, max_size=w - 1))
     code = dopr_from_wpr(Wpr((0, *sorted(rest)), n))
     kind = draw(st.sampled_from(("dopr", "standard", "partial")))
@@ -86,6 +86,12 @@ def test_a_code_keeps_the_table_its_builder_gives(code):
     assert _as_matrix(code) is code.table
     assert code.table is code.table
     assert code.table == build(code)
+
+
+@given(table_owners(max_n=60, max_w=7))
+def test_the_checked_constructor_accepts_every_table_a_code_builds(code):
+    """Codes build their tables unchecked; the public constructor agrees."""
+    assert EdopMatrix(code.table.rows, code.n) == code.table
 
 
 def test_row_sets_and_entry_set():
