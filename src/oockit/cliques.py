@@ -18,20 +18,36 @@ set to the rest of its walk lets walks from different starts that reach
 the same set share its tail; the map lives only for that call.
 
 The designer's graph build, clique walk and family selection share one
-int-bitset kernel.  Two rows of difference tables share k or more entries
-exactly when they have a k-entry subset in common.  So `_clashes` takes
-groups of table rows (a code's rows, or all rows of a set's members),
-numbers their k-entry subsets and keeps, per subset, the bitset of the
-groups owning it: a group's clashing groups are the union of its
-subsets' owners, a few ints.  `build_graph` joins the codes that do not
-clash at the design threshold, `clique_set_matrix` the candidate sets
-that do not clash one entry above the stricter of their ceilings, and
-`select_family` reads the family level off the largest k at which two
-kept sets still clash.  A graph's adjacency is one int mask per node and
-nothing else: the walk scores a node with ``int.bit_count``, and the
-neighbor sets are only read off the masks on request.  Each code builds
-its own table once and keeps it (`Dopr.table`); the subset numbering
-lives for one call.
+int-bitset kernel.  Two codes' cross correlation exceeds k exactly when
+they share a (k+1)-point pattern of one-bits, that is, when a row of one
+table shares k entries with a row of the other: each k-entry subset of a
+row is the pattern anchored at the row's one-bit.  `_clashes` takes one
+group of hashable keys per code or candidate set, numbers the keys and
+keeps, per key, the bitset of the groups owning it: a group's clashing
+groups are the union of its keys' owners, a few ints.
+
+One anchoring per pattern is enough when every group shares one length
+n.  Anchor a pattern at one of its points a: the gap after a is the
+subset's first entry s_1, the gap before it n - s_k.  Keep the anchoring
+when s_1 + s_k <= n, the gap after no larger than the gap before.  Some
+point of every pattern passes: were each gap larger than the one before
+it, the gaps would increase all the way round the cycle.  And the rule
+reads only the gaps, so two codes that share a pattern keep the same
+anchorings of it: they share a kept key exactly when they share any
+key.  At k = 1 the rule keeps min(d, n - d) for each pair of one-bits,
+its folded distance, which `build_graph` keys as a plain int.  Groups
+that mix lengths keep every subset.
+
+`build_graph` keys each code straight from its differences and builds no
+table; it joins the codes that do not clash at the design threshold.
+`clique_set_matrix` keys the rows of each candidate set's members and
+joins the sets that do not clash one entry above the stricter of their
+ceilings, and `select_family` reads the family level off the largest k
+at which two kept sets still clash.  A graph's adjacency is one int mask
+per node and nothing else: the walk scores a node with ``int.bit_count``,
+and the neighbor sets are only read off the masks on request.  A set
+member builds its table once and keeps it (`Dopr.table`); the key
+numbering lives for one call.
 
 The public correlation functions (`crosscorr_edop`,
 `interset_crosscorr`), set assembly (`make_clique_set`),
@@ -44,17 +60,17 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, compress
+from itertools import chain, combinations, compress, repeat
 from operator import or_
 
-from .codes import CodeParams, Dopr
+from .codes import CodeParams, Dopr, PartialDopr
 from .correlation import (
     crosscorr_edop,
     johnson_bound,
     set_lambda_a,
     set_lambda_c,
 )
-from .edop import _check_integers
+from .edop import _anchored_rows, _check_integers, _folded_distances
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
 # three names on this module, so they must stay importable from it.
@@ -126,41 +142,74 @@ def _members(mask: int, size: int):
     return compress(range(size), digits)
 
 
-def _clashes(row_groups, k: int) -> list[int]:
-    """Per group of table rows, the bitset of groups sharing a k-subset.
+def _clashes(key_groups) -> list[int]:
+    """Per group of keys, the bitset of groups sharing a key.
 
-    A group's own bit is always included.  Two rows share k or more
-    entries exactly when they have a k-entry subset in common.  Each
-    subset, numbered as first seen, keeps the bitset of the groups that
-    own it, so a group's clashes are the union of its subsets' owners.
+    A group's own bit is always included.  Each key, numbered as first
+    seen, keeps the bitset of the groups that own it, so a group's
+    clashes are the union of its keys' owners.
     """
     bits: dict = {}
-    owned = [
-        {bits.setdefault(s, len(bits)) for row in rows for s in combinations(row, k)}
-        for rows in row_groups
-    ]
+    owned = [{bits.setdefault(key, len(bits)) for key in keys} for keys in key_groups]
     owners = [0] * len(bits)
-    for i, subsets in enumerate(owned):
-        for b in subsets:
+    for i, numbered in enumerate(owned):
+        for b in numbered:
             owners[b] |= 1 << i
     return [
-        reduce(or_, map(owners.__getitem__, subsets), 1 << i)
-        for i, subsets in enumerate(owned)
+        reduce(or_, map(owners.__getitem__, numbered), 1 << i)
+        for i, numbered in enumerate(owned)
     ]
+
+
+def _common_length(codes) -> int | None:
+    """The length every code shares, or None when lengths mix."""
+    lengths = {c.n for c in codes}
+    return lengths.pop() if len(lengths) == 1 else None
+
+
+def _subset_keys(rows, k: int, n: int | None):
+    """The keys of the k-entry subsets of table ``rows``.
+
+    With a common length ``n``, only a subset whose first and last entries
+    sum to at most n is kept, its pattern's canonical anchorings (see the
+    module docstring); with ``n`` None every subset is kept.
+    """
+    subsets = chain.from_iterable(map(combinations, rows, repeat(k)))
+    return subsets if n is None else [s for s in subsets if s[0] + s[-1] <= n]
+
+
+def _code_keys(code, k: int, n: int | None):
+    """The keys of a complete code, or of a partial code's closed companion."""
+    dops = code.dops
+    if isinstance(code, PartialDopr):
+        dops += (code.n - sum(dops),)
+    elif len(dops) < 2:
+        raise ValueError("difference tables need weight >= 2")
+    if k == 1 and n is not None:
+        return _folded_distances(dops, n)
+    return _subset_keys(_anchored_rows(dops), k, n)
 
 
 def build_graph(codes, threshold: int) -> CodeGraph:
     """Join two codes when their cross correlation is at most ``threshold``.
 
-    That is, no row of one table shares ``threshold`` entries with a row
-    of the other: the two codes own no ``threshold``-entry subset in
-    common.
+    That is, the two codes share no (``threshold`` + 1)-point pattern of
+    one-bits: no row of one table shares ``threshold`` entries with a row
+    of the other.  A partial code stands for its closed companion.  Each
+    code is keyed straight from its differences and builds no table: when
+    all codes share one length, by its folded distances at threshold 1
+    and otherwise by the canonical anchorings of its patterns (see the
+    module docstring); when lengths mix, by every ``threshold``-entry
+    subset of its rows.  ``threshold`` must be a positive integer, and
+    every code must have weight at least 2.
     """
     nodes = tuple(codes)
+    _check_integers("threshold", threshold)
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
+    n = _common_length(nodes)
     everyone = (1 << len(nodes)) - 1
-    clashes = _clashes([c.table.rows for c in nodes], threshold)
+    clashes = _clashes([_code_keys(c, threshold, n) for c in nodes])
     return CodeGraph(nodes, tuple(everyone & ~m for m in clashes))
 
 
@@ -375,9 +424,10 @@ def clique_set_matrix(cliques) -> CodeGraph:
     size = len(items)
     ceilings = [s.params.lambda_c for s in items]
     rows = [_set_rows(s) for s in items]
+    n = _common_length(c for s in items for c in s.codes)
     clash = [0] * size
     for c in set(ceilings):
-        level = _clashes(rows, c + 1)
+        level = _clashes([_subset_keys(r, c + 1, n) for r in rows])
         higher = sum(1 << j for j, cj in enumerate(ceilings) if cj > c)
         for i in compress(range(size), map(c.__eq__, ceilings)):
             clash[i] |= level[i]
@@ -418,9 +468,12 @@ def select_family(cliques, max_sets: int | None = None) -> Family:
     if len(kept) < 2:
         return Family(kept, 0)
     rows = [_set_rows(s) for s in kept]
+    n = _common_length(c for s in kept for c in s.codes)
     shared = 0
     # A group's own bit is always set, so m & (m - 1) marks a clash with
     # another kept set.
-    while any(m & (m - 1) for m in _clashes(rows, shared + 1)):
+    while any(
+        m & (m - 1) for m in _clashes([_subset_keys(r, shared + 1, n) for r in rows])
+    ):
         shared += 1
     return Family(kept, 1 + shared)

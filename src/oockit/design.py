@@ -9,15 +9,17 @@ per parent, how often each cyclic distance occurs between the one-bits of
 the parent's closed companion; a candidate difference adds one one-bit,
 so only its distances to and from the parent's one-bits are new, and the
 candidate passes when no count then exceeds the ceiling.  A rejected
-candidate builds no object, and a kept one builds its difference table
-only when a graph reads it.  Once a single free
-position remains, the closing difference is forced by the length: each
-member is completed, put in canonical rotation and kept once per rotation
-class, the last graph is built on those complete codes, and its cliques
-compete for membership in the emitted family.  They compete as plain
-candidates, unverified; only the sets the family keeps are assembled by
-`make_clique_set`, whose independent recheck of every self and cross
-correlation and of the cardinality bound thus guards each emitted set.
+candidate builds no object, and graphs key a kept one straight from its
+differences, so no graph node builds a difference table.  Once a single
+free position remains, the closing difference is forced by the length:
+each member is completed, put in canonical rotation and kept once per
+rotation class, the last graph is built on those complete codes, and its
+cliques compete for membership in the emitted family.  They compete as
+plain candidates, unverified; only the sets the family keeps are
+assembled by `make_clique_set`, whose independent recheck of every self
+and cross correlation and of the cardinality bound thus guards each
+emitted set.  Tables are built only by the members of candidate sets,
+whose rows family selection and the guard read.
 """
 
 from __future__ import annotations

@@ -98,6 +98,20 @@ def _anchored_rows(dops: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(accumulate(doubled[j : j + w - 1])) for j in range(w))
 
 
+def _folded_distances(dops: tuple[int, ...], n: int) -> list[int]:
+    """min(d, n - d) for each pair of one-bits of the closed code ``dops``.
+
+    The table lists each pair's distance both ways, as d and n - d, so
+    these C(w, 2) ints are its entries e with 2e <= n, one per pair.
+    """
+    pos = list(accumulate(dops[:-1], initial=0))
+    return [
+        d if d + d <= n else n - d
+        for i, p in enumerate(pos)
+        for d in map(p.__rsub__, pos[i + 1 :])
+    ]
+
+
 def _checked_table(dops: tuple[int, ...], n: int) -> EdopMatrix:
     """Table of differences a code's constructor already checked.
 

@@ -104,6 +104,18 @@ def test_build_graph_rejects_silly_thresholds():
         build_graph(classes_as_codes(7, 3), threshold=0)
 
 
+@pytest.mark.parametrize("threshold", [True, 2.0])
+def test_build_graph_rejects_thresholds_that_are_not_integers(threshold):
+    with pytest.raises(ValueError, match="threshold must be an integer"):
+        build_graph(classes_as_codes(7, 3), threshold)
+
+
+@pytest.mark.parametrize("threshold", [1, 2])
+def test_build_graph_refuses_weight_one_codes(threshold):
+    with pytest.raises(ValueError, match="weight >= 2"):
+        build_graph([Dopr((7,), 7)], threshold)
+
+
 @pytest.mark.parametrize(
     "params,nodes,edges",
     [

@@ -1,14 +1,16 @@
 """The designer's int-bitset kernel against the independent routes.
 
-`build_graph`, `clique_set_matrix` and `select_family` judge rows through
-one owner bitset per k-entry subset, and `greedy_clique` and
+`build_graph`, `clique_set_matrix` and `select_family` judge codes and
+sets through one owner bitset per key, and `greedy_clique` and
 `enumerate_cliques` walk adjacency bitsets; here random inputs hold the
 graphs' edges and the family level to `crosscorr_edop`,
 `interset_crosscorr` and the plain-set oracles, which share no code with
 the kernel, and hold `CodeGraph`'s checks on its masks to the plain
-definition of a simple undirected graph.  Candidate sets mix lengths,
-weights and cross ceilings, so each pair is judged at its own stricter
-ceiling.
+definition of a simple undirected graph.  Half the pools and lists of
+candidate sets share one length, even or odd, where the kernel keys only
+canonical anchorings; the other half mix lengths, where it keys every
+subset.  Candidate sets mix weights and cross ceilings, so each pair is
+judged at its own stricter ceiling.
 """
 
 from __future__ import annotations
@@ -46,13 +48,25 @@ def complete_codes(draw, n, w):
 
 
 @st.composite
-def pool_codes(draw):
-    """A complete code, or a partial one cut from it, of length 7..31."""
-    n = draw(st.integers(7, 31))
+def pool_codes(draw, n=None):
+    """A complete code, or a partial one cut from it, of length n or 7..31."""
+    if n is None:
+        n = draw(st.integers(7, 31))
     w = draw(st.integers(3, min(6, n - 1)))
     code = draw(complete_codes(n, w))
     u = draw(st.integers(1, w))
     return code if u == w else PartialDopr(code.dops[:u], n, w)
+
+
+@st.composite
+def lists_of(draw, items, max_size):
+    """Up to ``max_size`` draws of ``items(n)``.
+
+    Half the lists share one length n in 7..31, even or odd; in the other
+    half each item draws its own.
+    """
+    n = draw(st.none() | st.integers(7, 31))
+    return draw(st.lists(items(n), max_size=max_size))
 
 
 def table(code):
@@ -69,7 +83,7 @@ def positions(code):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(pool_codes(), max_size=14), st.integers(1, 3))
+@given(lists_of(pool_codes, 14), st.integers(1, 3))
 def test_build_graph_edges_match_both_reference_routes(pool, threshold):
     graph = build_graph(pool, threshold)
     for i, a in enumerate(pool):
@@ -86,9 +100,13 @@ def test_build_graph_edges_match_both_reference_routes(pool, threshold):
 
 
 @st.composite
-def candidate_sets(draw):
-    """A set of 1..4 complete codes of one (n, w) with its own cross ceiling."""
-    n = draw(st.integers(7, 31))
+def candidate_sets(draw, n=None):
+    """A set of 1..4 complete codes of one (n, w) with its own cross ceiling.
+
+    The length is n, or drawn from 7..31.
+    """
+    if n is None:
+        n = draw(st.integers(7, 31))
     w = draw(st.integers(3, min(6, n - 1)))
     lambda_c = draw(st.integers(1, w - 1))
     codes = tuple(draw(st.lists(complete_codes(n, w), min_size=1, max_size=4)))
@@ -96,7 +114,7 @@ def candidate_sets(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(candidate_sets(), max_size=6))
+@given(lists_of(candidate_sets, 6))
 def test_clique_set_matrix_matches_interset_crosscorr(sets):
     graph = clique_set_matrix(sets)
     assert graph.nodes == tuple(sets)
@@ -108,13 +126,47 @@ def test_clique_set_matrix_matches_interset_crosscorr(sets):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(candidate_sets(), max_size=6), st.none() | st.integers(1, 6))
+@given(lists_of(candidate_sets, 6), st.none() | st.integers(1, 6))
 def test_family_level_is_the_largest_peak_among_kept_sets(sets, max_sets):
     family = select_family(sets, max_sets)
     assert family.interset_lambda == max(
         (interset_crosscorr(a, b) for a, b in combinations(family.sets, 2)),
         default=0,
     )
+
+
+def code_at(positions, n):
+    return dopr_from_wpr(Wpr(positions, n))
+
+
+def singleton_sets(codes, lambda_c):
+    return [
+        CliqueSet((c,), CodeParams(c.n, c.weight, c.weight - 1, lambda_c), 0, 0, 0)
+        for c in codes
+    ]
+
+
+def test_a_distance_of_half_the_length_is_a_shared_key():
+    """{0,1,6} and {0,2,6} at n = 12 share only the distance 6 = n/2."""
+    codes = [code_at((0, 1, 6), 12), code_at((0, 2, 6), 12)]
+    assert max_cross(*map(positions, codes), 12) == 2
+    assert build_graph(codes, 1).masks == (0, 0)
+    assert build_graph(codes, 2).masks == (0b10, 0b01)
+    family = select_family(singleton_sets(codes, 1))
+    assert len(family.sets) == 2
+    assert family.interset_lambda == 2
+
+
+def test_an_evenly_spaced_pattern_is_a_shared_key():
+    """{0,1,4,8} and {0,2,4,8} at n = 12 share only the triple {0,4,8}."""
+    codes = [code_at((0, 1, 4, 8), 12), code_at((0, 2, 4, 8), 12)]
+    assert max_cross(*map(positions, codes), 12) == 3
+    assert build_graph(codes, 2).masks == (0, 0)
+    assert build_graph(codes, 3).masks == (0b10, 0b01)
+    assert clique_set_matrix(singleton_sets(codes, 1)).masks == (0, 0)
+    family = select_family(singleton_sets(codes, 2))
+    assert len(family.sets) == 2
+    assert family.interset_lambda == 3
 
 
 @st.composite
