@@ -12,6 +12,7 @@ document failed verification (or could not be parsed as a document),
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -194,6 +195,7 @@ def cmd_convert(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``oockit`` command line."""
     parser = _Parser(
         prog="oockit",
         description="Design and verify unipolar code families with bounded correlations.",
@@ -259,13 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on its first call, then kept for the
+    life of the process, since building it costs as much as a small verify."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if os.environ.get("OOCKIT_VERBOSE"):
         logging.basicConfig(
             level=logging.DEBUG, stream=sys.stderr, format="%(name)s: %(message)s"
         )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

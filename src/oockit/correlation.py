@@ -6,9 +6,16 @@ coincides at exactly one shift, m = (q - p) mod n, so counting those
 differences gives the whole overlap profile, sparsely.  Its work is
 w_x * w_y per pair of codes, whatever n is, so a document's verify cost
 follows its size, not the length it declares.  The difference-table route
-intersects rows of the codes' tables: the peak non-trivial overlap is one
-more than the largest number of entries two rows share.  Both routes must
-agree, share no code, and the test suite holds them to that.
+compares rows of the codes' tables: the peak non-trivial overlap is one
+more than the largest number of entries two rows share.  It runs on one
+index of table entries, `_row_overlaps`, which maps each entry to the rows
+that hold it and counts, for every pair of rows holding a common entry,
+how many entries they share.  Its work is the sum, over entries, of the
+number of row pairs holding that entry, which equals the shared entries
+summed over all row pairs: at most w - 1 times the pairs a row-by-row
+scan visits, and far less when most pairs share nothing.  One call
+settles every table pair of a document at once.  Both routes must agree,
+share no code, and the test suite holds them to that.
 
 Comparison counting is opt-in.  With ``count_comparisons=True`` a route
 runs its one literal scan, shared by auto and cross correlation (n shifts
@@ -19,7 +26,7 @@ non-literal paths leave the counter None.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -141,6 +148,40 @@ def _scan_rows(row_pairs) -> tuple[int, int]:
     return best, comparisons
 
 
+def _row_overlaps(tables) -> Counter:
+    """Most entries two distinct rows share, for each pair of tables.
+
+    Keys are table index pairs (i, j) with i <= j; (i, i) compares the
+    distinct rows of table i, and a pair whose rows share nothing reads 0.
+    Each entry is indexed to the rows that hold it (a row holds an entry
+    at most once, its entries strictly increasing), and every pair of
+    those rows counts one shared entry.  Entries are compared as plain
+    integers, so the tables may differ in length and weight.
+    """
+    holders: defaultdict[int, list[int]] = defaultdict(list)
+    owner: list[int] = []  # table index of each row, rows numbered in order
+    for t, table in enumerate(tables):
+        for row in table.rows:
+            r = len(owner)
+            owner.append(t)
+            for e in row:
+                holders[e].append(r)
+    size = len(owner)
+    shared = Counter(
+        a * size + b
+        for rows in holders.values()
+        if len(rows) > 1
+        for a, b in combinations(rows, 2)
+    )
+    best: Counter = Counter()
+    for key, count in shared.items():
+        a, b = divmod(key, size)
+        pair = owner[a], owner[b]
+        if count > best[pair]:
+            best[pair] = count
+    return best
+
+
 def autocorr_bruteforce(
     code: BinaryCode | Wpr | Dopr, *, count_comparisons: bool = False
 ) -> CorrelationReport:
@@ -200,12 +241,7 @@ def autocorr_edop(
     if count_comparisons:
         best, comparisons = _scan_rows(combinations(matrix.rows, 2))
         return CorrelationReport(1 + best, comparisons=comparisons)
-    best = 0
-    for sx, sy in combinations(matrix.row_sets, 2):
-        shared = len(sx & sy)
-        if shared > best:
-            best = shared
-    return CorrelationReport(1 + best)
+    return CorrelationReport(1 + _row_overlaps([matrix])[0, 0])
 
 
 def crosscorr_edop(
@@ -225,12 +261,7 @@ def crosscorr_edop(
     if count_comparisons:
         best, comparisons = _scan_rows(product(mx.rows, my.rows))
         return CrossReport(1 + best, comparisons=comparisons)
-    best = 0
-    for sx, sy in product(mx.row_sets, my.row_sets):
-        shared = len(sx & sy)
-        if shared > best:
-            best = shared
-    return CrossReport(1 + best)
+    return CrossReport(1 + _row_overlaps([mx, my])[0, 1])
 
 
 def set_lambda_a(codes) -> int:
@@ -238,7 +269,9 @@ def set_lambda_a(codes) -> int:
     codes = list(codes)
     if not codes:
         raise ValueError("set correlation needs at least one code")
-    return max(autocorr_edop(c).lambda_ax for c in codes)
+    tables = [_as_matrix(c) for c in codes]
+    overlaps = _row_overlaps(tables)
+    return 1 + max(overlaps[i, i] for i in range(len(tables)))
 
 
 def set_lambda_c(codes) -> int:
@@ -246,7 +279,9 @@ def set_lambda_c(codes) -> int:
     codes = list(codes)
     if len(codes) < 2:
         raise ValueError("set cross correlation needs at least two codes")
-    return max(crosscorr_edop(x, y).lambda_cxy for x, y in combinations(codes, 2))
+    tables = [_as_matrix(c) for c in codes]
+    overlaps = _row_overlaps(tables)
+    return 1 + max(overlaps[p] for p in combinations(range(len(tables)), 2))
 
 
 def interset_crosscorr(a, b) -> int:
@@ -260,7 +295,9 @@ def interset_crosscorr(a, b) -> int:
     b_codes = list(getattr(b, "codes", b))
     if not a_codes or not b_codes:
         raise ValueError("inter-set correlation needs non-empty sets")
-    return max(crosscorr_edop(x, y).lambda_cxy for x in a_codes for y in b_codes)
+    overlaps = _row_overlaps([_as_matrix(c) for c in a_codes + b_codes])
+    split, size = len(a_codes), len(a_codes) + len(b_codes)
+    return 1 + max(overlaps[p] for p in product(range(split), range(split, size)))
 
 
 def johnson_bound(n: int, w: int, lam: int) -> int:

@@ -40,17 +40,17 @@ from .cliques import (
 )
 from .codes import (
     CodeParams,
-    Dopr,
     PartialDopr,
     StandardDopr,
+    _standard_rotation,
     last_difference_range,
     max_difference_at,
-    standardize,
 )
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
-# four names on this module, so they must stay importable from it.
+# five names on this module, so they must stay importable from it.
 from .cliques import greedy_clique  # noqa: F401
+from .codes import standardize  # noqa: F401
 from .correlation import interset_crosscorr  # noqa: F401
 from .edop import edop_full, edop_partial  # noqa: F401
 
@@ -167,8 +167,9 @@ def _capped(cliques, max_sets: int | None):
 def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
     """Complete codes of a pool one difference short, one per rotation class.
 
-    Each member is closed with the difference the length forces and put in
-    canonical rotation; the first code of each class in pool order is kept.
+    Each member is closed with the difference the length forces and its
+    tuple put in canonical rotation; the first code of each class in pool
+    order is kept, and only kept codes are built (with every check).
     The members already meet the self-correlation ceiling, because
     extension judged each one's closed companion, which at u = w-1 is the
     complete code.
@@ -197,10 +198,10 @@ def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
                 lo,
                 hi,
             )
-        code = standardize(Dopr(member.dops + (closing,), n))
-        if code.dops not in seen:
-            seen.add(code.dops)
-            closed.append(code)
+        dops = _standard_rotation(member.dops + (closing,))
+        if dops not in seen:
+            seen.add(dops)
+            closed.append(StandardDopr(dops, n))
     return tuple(closed)
 
 

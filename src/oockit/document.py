@@ -18,15 +18,18 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cliques import Family
-from .codes import CodeParams, Dopr, _standard_rotation, wpr_from_dopr
+from .codes import CodeParams, Dopr, Wpr, _standard_rotation, wpr_from_dopr
 from .correlation import (
+    _row_overlaps,
     autocorr_bruteforce,
-    autocorr_edop,
     crosscorr_bruteforce,
-    crosscorr_edop,
     johnson_bound,
 )
 from .edop import EdopMatrix, edop_full
+
+# Unused here, but perfbench/tracing.py counts calls by swapping these
+# two names on this module, so they must stay importable from it.
+from .correlation import autocorr_edop, crosscorr_edop  # noqa: F401
 
 __all__ = [
     "FORMAT_VERSION",
@@ -277,10 +280,10 @@ def family_to_csv(doc: CodeSetDocument) -> str:
 
 
 class _SetLevels(NamedTuple):
-    """A structurally sound set with each table level computed once."""
+    """A structurally sound set with each table level read once."""
 
     params: CodeParams
-    codes: tuple[Dopr, ...]
+    wprs: tuple[Wpr, ...]  # per code, positions read once
     mats: tuple[EdopMatrix, ...]
     auto: tuple[int, ...]  # per code
     cross: dict[tuple[int, int], int]  # per in-set pair i < j
@@ -316,6 +319,14 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
     structurally sound codes, so sets that already failed are skipped
     there and the skip is noted; the structural failure alone makes the
     report fail.
+
+    The table route runs once per document: the tables of every sound set
+    go through one `_row_overlaps` call, and each code's self level, each
+    in-set pair's cross level and each set pair's inter-set level are read
+    from its result.  Its work follows the entries the tables share, not
+    the number of code pairs.  The shift route, which shares no code with
+    it, reads each code's one-bit positions once and counts the shifts of
+    every code and in-set pair for ``method-agreement``.
     """
     checks: list[Check] = []
     bad_sets: set[int] = set()
@@ -391,24 +402,38 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
                 )
     checks.append(Check("canonical-rotation", not problems, "; ".join(problems)))
 
-    # build validated codes and their table levels for the correlation rules
-    valid: dict[int, _SetLevels] = {}
+    # build validated codes and their tables; one entry index over all of
+    # them gives each code's level, each in-set pair's and each set pair's
+    starts: dict[int, tuple[int, tuple[Dopr, ...]]] = {}  # first table, codes
+    tables: list[EdopMatrix] = []
+    set_of: list[int] = []  # set index of each table
     for k, s in enumerate(doc.sets):
         if k in bad_sets:
             continue
         codes = tuple(Dopr(c.dopr, s.n) for c in s.codes)
-        mats = tuple(edop_full(c) for c in codes)
+        starts[k] = len(tables), codes
+        tables.extend(edop_full(c) for c in codes)
+        set_of.extend([k] * len(codes))
+    overlaps = _row_overlaps(tables)
+    valid: dict[int, _SetLevels] = {}
+    for k, (t, codes) in starts.items():
+        size = len(codes)
         valid[k] = _SetLevels(
             params_by_set[k],
-            codes,
-            mats,
-            tuple(autocorr_edop(m).lambda_ax for m in mats),
+            tuple(wpr_from_dopr(c) for c in codes),
+            tuple(tables[t : t + size]),
+            tuple(1 + overlaps[t + i, t + i] for i in range(size)),
             {
-                (i, j): crosscorr_edop(mats[i], mats[j]).lambda_cxy
-                for i in range(len(mats))
-                for j in range(i + 1, len(mats))
+                (i, j): 1 + overlaps[t + i, t + j]
+                for i in range(size)
+                for j in range(i + 1, size)
             },
         )
+    interset: dict[tuple[int, int], int] = {}  # set pairs whose rows share entries
+    for (ti, tj), count in overlaps.items():
+        ka, kb = set_of[ti], set_of[tj]
+        if ka != kb and count > interset.get((ka, kb), 0):
+            interset[ka, kb] = count
     skip_note = (
         f"sets {sorted(bad_sets)} not evaluated (structural failure)"
         if bad_sets
@@ -435,14 +460,14 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
     # method-agreement: shift counting and table overlap agree
     problems = []
     for k, v in valid.items():
-        for i, (code, table) in enumerate(zip(v.codes, v.auto)):
+        for i, (code, table) in enumerate(zip(v.wprs, v.auto)):
             brute = autocorr_bruteforce(code).lambda_ax
             if brute != table:
                 problems.append(
                     f"set {k} code {i}: self correlation {brute} by shifts, {table} by tables"
                 )
         for (i, j), table in v.cross.items():
-            brute = crosscorr_bruteforce(v.codes[i], v.codes[j]).lambda_cxy
+            brute = crosscorr_bruteforce(v.wprs[i], v.wprs[j]).lambda_cxy
             if brute != table:
                 problems.append(
                     f"set {k} codes {i},{j}: cross {brute} by shifts, {table} by tables"
@@ -468,13 +493,13 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
         if v.params.lambda_c != 1 or len(mats) < 2:
             continue
         applicable = True
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                shared = mats[i].entry_set & mats[j].entry_set
-                if shared:
-                    problems.append(
-                        f"set {k} codes {i},{j}: shared table entries {sorted(shared)}"
-                    )
+        for (i, j), level in v.cross.items():
+            if level == 1:
+                continue  # no row of one table shares an entry with the other
+            shared = mats[i].entry_set & mats[j].entry_set
+            problems.append(
+                f"set {k} codes {i},{j}: shared table entries {sorted(shared)}"
+            )
     parts = []
     if problems:
         parts.append("; ".join(problems))
@@ -522,12 +547,10 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
     keys = sorted(valid)
     peak = 0
     for a_pos, ka in enumerate(keys):
-        pa, mats_a = valid[ka].params, valid[ka].mats
+        pa = valid[ka].params
         for kb in keys[a_pos + 1 :]:
-            pb, mats_b = valid[kb].params, valid[kb].mats
-            level = max(
-                crosscorr_edop(ma, mb).lambda_cxy for ma in mats_a for mb in mats_b
-            )
+            pb = valid[kb].params
+            level = 1 + interset.get((ka, kb), 0)
             peak = max(peak, level)
             limit = min(pa.lambda_c, pb.lambda_c) + 1
             if level > limit:

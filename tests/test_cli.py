@@ -1,8 +1,9 @@
 """End-to-end command line behavior, exit codes included.
 
-Every test shells out through ``python -m oockit`` so the argv plumbing,
-exit codes, and stream separation are exercised exactly as a user sees
-them.
+Every test but the last shells out through ``python -m oockit`` so the
+argv plumbing, exit codes, and stream separation are exercised exactly as
+a user sees them.  The last calls `main` repeatedly in one process, as a
+host program does, since the parser it uses is built once per process.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 import pytest
 
 from oockit import from_json
+from oockit.cli import main
 
 RULES = (
     "parameter-consistency",
@@ -231,3 +233,41 @@ def test_verbose_mode_logs_designer_decisions():
     assert quiet.stderr == ""
     assert "re-rotating" in loud.stderr
     assert loud.stdout == quiet.stdout
+
+
+def test_repeated_calls_in_one_process(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert main(["design", "--n", "13", "--w", "4", "--out", str(good)]) == 0
+    payload = json.loads(good.read_text())
+    payload["sets"][0]["verified_lambda_a"] = 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    passed = "".join(f"PASS {rule}\n" for rule in RULES)
+
+    assert main(["verify", str(good)]) == 0
+    assert capsys.readouterr().out == passed
+
+    assert main(["verify", str(bad)]) == 3
+    assert capsys.readouterr().out == passed.replace(
+        "PASS stored-auto-correlation",
+        "FAIL stored-auto-correlation: set 0: stored 2, recomputed 1",
+    )
+
+    with pytest.raises(SystemExit) as usage:
+        main(["convert", "--binary", "101", "--dopr", "1,2"])
+    assert usage.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+    assert main(["convert", "--binary", "0101001000100", "--to", "dopr"]) == 0
+    assert capsys.readouterr().out == "dopr: 2-3-4-4\nstandard: 2-3-4-4\n"
+
+    assert main(["design", "--n", "7", "--w", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "set_id,n,w,dopr,wpr\n"
+        "0,7,3,1-2-4,0-1-3\n"
+        "1,7,3,2-1-4,0-2-3\n"
+    )
+
+    assert main(["verify", str(good)]) == 0
+    assert capsys.readouterr().out == passed

@@ -27,10 +27,12 @@ from oockit import (
     set_lambda_c,
 )
 
+from oockit.correlation import _row_overlaps
 from oracles import (
     all_subsets,
     auto_profile,
     bits_from_positions,
+    companion_positions,
     cross_profile,
     gaps_of,
     max_auto,
@@ -152,6 +154,66 @@ def test_table_route_counting_path_matches_default_and_definition(data):
     if xn == yn:
         assert cross.lambda_cxy == max_cross(xpos, ypos, xn)
     assert cross.comparisons == wx * wy * (wx - 1) * (wy - 1)
+
+
+@st.composite
+def table_codes(draw):
+    """A complete or partial code, n in 4..24, w in 2..6: its table's rows
+    share entries often at these sizes."""
+    n = draw(st.integers(4, 24))
+    w = draw(st.integers(2, min(6, n - 1)))
+    rest = draw(st.sets(st.integers(1, n - 1), min_size=w - 1, max_size=w - 1))
+    code = dopr_from_wpr(Wpr((0, *sorted(rest)), n))
+    if w > 2 and draw(st.booleans()):
+        return PartialDopr(code.dops[: draw(st.integers(1, w - 2))], n, w)
+    return code
+
+
+def positions_of(code):
+    """One-bit positions of a code, or of a partial code's closed companion."""
+    dops = code.dops if isinstance(code, PartialDopr) else code.dops[:-1]
+    return companion_positions(dops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(table_codes(), min_size=1, max_size=8), st.data())
+def test_row_overlaps_match_the_literal_scan_and_the_definition(codes, data):
+    tables = [c.table for c in codes]
+    overlaps = _row_overlaps(tables)
+    assert set(overlaps) <= {
+        (i, j) for i in range(len(codes)) for j in range(i, len(codes))
+    }
+    for i, x in enumerate(codes):
+        auto = autocorr_edop(x, count_comparisons=True).lambda_ax
+        assert overlaps[i, i] == auto - 1 == max_auto(positions_of(x), x.n) - 1
+        for j in range(i + 1, len(codes)):
+            y = codes[j]
+            cross = crosscorr_edop(x, y, count_comparisons=True).lambda_cxy
+            assert overlaps[i, j] == cross - 1
+            if x.n == y.n:
+                assert cross == max_cross(positions_of(x), positions_of(y), x.n)
+    scan_auto = [autocorr_edop(c, count_comparisons=True).lambda_ax for c in codes]
+    assert set_lambda_a(codes) == max(scan_auto)
+    if len(codes) > 1:
+        assert set_lambda_c(codes) == max(
+            crosscorr_edop(x, y, count_comparisons=True).lambda_cxy
+            for x, y in itertools.combinations(codes, 2)
+        )
+    # Two sets drawn from the codes; they may share codes.
+    members = st.lists(st.sampled_from(codes), min_size=1, max_size=len(codes))
+    a, b = data.draw(members), data.draw(members)
+    assert interset_crosscorr(a, b) == max(
+        crosscorr_edop(x, y, count_comparisons=True).lambda_cxy
+        for x in a
+        for y in b
+    )
+
+
+def test_row_overlaps_of_no_tables_and_of_disjoint_rows():
+    assert _row_overlaps([]) == {}
+    x, y = edop_full(Dopr((1, 3, 9), 13)), edop_full(Dopr((2, 5, 6), 13))
+    assert _row_overlaps([x, y]) == {}
+    assert _row_overlaps([x, y])[0, 1] == 0
 
 
 def test_table_route_rejects_bit_patterns():
