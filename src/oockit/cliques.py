@@ -52,7 +52,8 @@ numbering lives for one call.
 The public correlation functions (`crosscorr_edop`,
 `interset_crosscorr`), set assembly (`make_clique_set`),
 `verify_maximality` and document verification keep their independent
-frozenset and brute-force routes, which the tests hold the kernel to.
+routes, the table-entry index of `correlation` and shift counting,
+which the tests hold the kernel to.
 """
 
 from __future__ import annotations
