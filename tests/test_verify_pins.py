@@ -3,18 +3,25 @@
 The documents are the benchmark's verify corpus (``perfbench/corpus.py``,
 loaded by path) for seeds 1 and 2, built from the documents designed
 from the verify-corpus ladder, plus the designed (25,4,1,2) document,
-whose five sets give ten set pairs for the family-separation rule.  Each
+whose five sets give ten set pairs for the family-separation rule, and
+three hand-made documents the corpus lacks: a lambda_c = 1 set whose two
+codes share a table entry, a duplicated singleton set over the pair
+limit, and a family whose first two sets fail structural rules.  Each
 document is verified in process, and the sha256 of its label, exit code
 and standard output is compared with a recorded digest, so a change to
-any rule's outcome, order or detail text is caught.
+any rule's outcome, order or detail text is caught.  The command prints
+no detail for a passing rule, so one more digest covers every check of
+every report, passing ones too, with its skip and not-applicable notes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import importlib.util
 import io
+import json
 import random
 from pathlib import Path
 from types import SimpleNamespace
@@ -68,7 +75,52 @@ def corpus_entries():
         for label, text, _rule in corpus.build(lib, random.Random(seed), seed, designed):
             out.append((f"seed{seed}/{label}", text))
     out.append(("25,4,1,2", document.to_canonical_json(designed_document("25,4,1,2"))))
+    out.extend(hand_made_entries())
     return out
+
+
+def payload_of(key):
+    return json.loads(document.to_canonical_json(designed_document(key)))
+
+
+def hand_made_entries():
+    """(label, canonical text) of documents that trip rules in combination."""
+    # Two lambda_c = 1 codes sharing table entries 2 and 3 (and their
+    # complements): cross-correlation-bound and shared-difference both fail.
+    shared = payload_of("25,3,1,1")
+    shared["family_interset_lambda"] = 0
+    shared["sets"] = [
+        {
+            "params": {"n": 25, "w": 3, "lambda_a": 1, "lambda_c": 1},
+            "bound": 4,
+            "verified_lambda_a": 1,
+            "verified_lambda_c": 2,
+            "codes": [
+                {"dopr": [1, 2, 22], "wpr": [0, 1, 3]},
+                {"dopr": [2, 3, 20], "wpr": [0, 2, 5]},
+            ],
+        }
+    ]
+    # A duplicated singleton correlates with itself at the full weight 3,
+    # over the pair limit of 2.
+    pair_limit = payload_of("7,3,1,1")
+    pair_limit["sets"].append(copy.deepcopy(pair_limit["sets"][0]))
+    pair_limit["family_interset_lambda"] = 3
+    # Set 0 has inadmissible parameters and set 1 a difference list that
+    # misses n; only set 2 reaches the correlation rules.
+    skipped = payload_of("13,4,1,1")
+    sound = skipped["sets"][0]
+    skipped["sets"] = [copy.deepcopy(sound), copy.deepcopy(sound), sound]
+    skipped["sets"][0]["params"]["lambda_a"] = 0
+    skipped["sets"][1]["codes"][0]["dopr"] = [1, 3, 2, 8]
+    return [
+        (label, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        for label, payload in (
+            ("cross-shared-entry", shared),
+            ("family-pair-limit", pair_limit),
+            ("structural-skips", skipped),
+        )
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +176,12 @@ PINNED = {
     "seed2/tampered-family-separation": "654d07f06fa659ffc35301d57648c6e72171b16ab86cdb23cb7377d63a9ef022",
     "seed2/tampered-document-format": "0d6e2eb31d4a47c5f2e7bc9896039673c39fc1a55f2430eacd09e989c2022ab1",
     "25,4,1,2": "ad40e103a32d298c9978c6d17bf7893bfc2eada110bc6cf1856863d3c9c6d591",
+    "cross-shared-entry": "fad6b03e629626a6f9d6259680c16c70f5317358330c864503817ea9ca8a42e8",
+    "family-pair-limit": "51ecb9d30d55c04f696915490a32b9979f52414f0c87b798f2aebb3ef30c71bf",
+    "structural-skips": "3e04fe2483d6f3547fb4dad3b31de754b9e76a7498e4462ac66690c5c3d26907",
 }
+
+REPORTS_PINNED = "fd46c900b048ddf35a717c61842c8d3766e18f5f7a871df7ad46b59e74fc4c0d"
 
 
 def test_verify_output_is_byte_identical(entries, tmp_path):
@@ -138,6 +195,30 @@ def test_verify_output_is_byte_identical(entries, tmp_path):
         record = f"{label}\n{code}\n{out.getvalue()}"
         digests[label] = hashlib.sha256(record.encode("utf-8")).hexdigest()
     assert digests == PINNED
+
+
+def test_every_check_detail_is_byte_identical(entries):
+    lines = []
+    for label, text in entries:
+        lines.append(label)
+        try:
+            doc = document.from_json(text)
+        except document.DocumentError as exc:
+            lines.append(f"document-format: {exc}")
+            continue
+        lines.extend(
+            f"{c.rule}\t{c.passed}\t{c.detail}"
+            for c in document.verify_document(doc).checks
+        )
+    record = "\n".join(lines)
+    assert hashlib.sha256(record.encode("utf-8")).hexdigest() == REPORTS_PINNED
+
+
+def test_structural_failures_put_skip_notes_on_the_correlation_rules(entries):
+    doc = document.from_json(dict(entries)["structural-skips"])
+    checks = document.verify_document(doc).checks
+    notes = [c.rule for c in checks if "sets [0, 1] not evaluated" in c.detail]
+    assert notes == [c.rule for c in checks[5:]]
 
 
 def test_the_pinned_family_has_ten_set_pairs(entries):
