@@ -58,7 +58,6 @@ which the tests hold the kernel to.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, compress, repeat
@@ -91,9 +90,6 @@ __all__ = [
     "clique_set_matrix",
     "select_family",
 ]
-
-log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class CodeGraph:
@@ -162,6 +158,19 @@ def _clashes(key_groups) -> list[int]:
     ]
 
 
+def _clash_complement(nodes: tuple, clashes) -> CodeGraph:
+    """Graph joining each node to every node it does not clash with.
+
+    Each clash bitset holds its own node's bit and clashes are mutual, so
+    the masks are loop-free and symmetric, and the graph skips
+    `CodeGraph.__post_init__`.
+    """
+    everyone = (1 << len(nodes)) - 1
+    graph = object.__new__(CodeGraph)
+    vars(graph).update(nodes=nodes, masks=tuple(everyone & ~m for m in clashes))
+    return graph
+
+
 def _common_length(codes) -> int | None:
     """The length every code shares, or None when lengths mix."""
     lengths = {c.n for c in codes}
@@ -209,9 +218,8 @@ def build_graph(codes, threshold: int) -> CodeGraph:
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
     n = _common_length(nodes)
-    everyone = (1 << len(nodes)) - 1
     clashes = _clashes([_code_keys(c, threshold, n) for c in nodes])
-    return CodeGraph(nodes, tuple(everyone & ~m for m in clashes))
+    return _clash_complement(nodes, clashes)
 
 
 def _walk(masks, size: int, active: int, tails: dict) -> tuple[int, ...]:
@@ -435,8 +443,7 @@ def clique_set_matrix(cliques) -> CodeGraph:
             if level[i] & higher:
                 for j in _members(level[i] & higher, size):
                     clash[j] |= 1 << i
-    everyone = (1 << size) - 1
-    return CodeGraph(items, tuple(everyone & ~m for m in clash))
+    return _clash_complement(items, clash)
 
 
 @dataclass(frozen=True)

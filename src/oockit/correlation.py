@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .codes import BinaryCode, Dopr, PartialDopr, Wpr, wpr_from_binary, wpr_from_dopr
-from .edop import EdopMatrix
+from .edop import EdopMatrix, _check_integers
 
 # Unused here, but perfbench/tracing.py counts calls by swapping this
 # name on this module, so it must stay importable from it.
@@ -306,8 +306,7 @@ def johnson_bound(n: int, w: int, lam: int) -> int:
     Nested floor form, evaluated innermost first:
     floor( (1/w) * floor( (n-1)/(w-1) * ... floor( (n-lam)/(w-lam) ) ) ).
     """
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, w, lam)):
-        raise ValueError("arguments must be integers")
+    _check_integers("n, w and lambda each", n, w, lam)
     if not n > w > lam >= 1:
         raise ValueError(
             f"bound needs n > w > lambda >= 1, got n={n} w={w} lambda={lam}"

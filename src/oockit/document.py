@@ -15,7 +15,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import accumulate
 
 from .cliques import Family
 from .codes import CodeParams, Dopr, Wpr, _standard_rotation, wpr_from_dopr
@@ -279,16 +279,6 @@ def family_to_csv(doc: CodeSetDocument) -> str:
     return buf.getvalue()
 
 
-class _SetLevels(NamedTuple):
-    """A structurally sound set with each table level read once."""
-
-    params: CodeParams
-    wprs: tuple[Wpr, ...]  # per code, positions read once
-    mats: tuple[EdopMatrix, ...]
-    auto: tuple[int, ...]  # per code
-    cross: dict[tuple[int, int], int]  # per in-set pair i < j
-
-
 @dataclass(frozen=True)
 class Check:
     """Outcome of one named verification rule."""
@@ -312,6 +302,25 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+# Rule order as reported.  The first five read the raw numbers; a set
+# that fails one of the first four is skipped by the rest.
+_RULES = (
+    "parameter-consistency",
+    "difference-sum",
+    "difference-range",
+    "position-consistency",
+    "canonical-rotation",
+    "auto-correlation-bound",
+    "method-agreement",
+    "cross-correlation-bound",
+    "shared-difference",
+    "set-size-bound",
+    "stored-auto-correlation",
+    "stored-cross-correlation",
+    "family-separation",
+)
+
+
 def verify_document(doc: CodeSetDocument) -> VerificationReport:
     """Re-derive every claimed property of a document.
 
@@ -328,239 +337,164 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
     it, reads each code's one-bit positions once and counts the shifts of
     every code and in-set pair for ``method-agreement``.
     """
-    checks: list[Check] = []
+    problems: dict[str, list[str]] = {rule: [] for rule in _RULES}
     bad_sets: set[int] = set()
 
-    # parameter-consistency: admissible parameters, all lists of length w
-    problems: list[str] = []
-    params_by_set: dict[int, CodeParams] = {}
+    def unsound(rule: str, k: int, problem: str) -> None:
+        problems[rule].append(problem)
+        bad_sets.add(k)
+
+    # Structural rules: admissible parameters and lists of length w,
+    # differences that sum to n and lie in [1, n - 1], positions that are
+    # their running sums, and the canonical rotation.
+    params: dict[int, CodeParams] = {}
     for k, s in enumerate(doc.sets):
         try:
-            params_by_set[k] = CodeParams(s.n, s.w, s.lambda_a, s.lambda_c)
+            params[k] = CodeParams(s.n, s.w, s.lambda_a, s.lambda_c)
         except (TypeError, ValueError) as exc:
-            problems.append(f"set {k}: {exc}")
-            bad_sets.add(k)
-            continue
-        short = [
-            i
-            for i, c in enumerate(s.codes)
-            if len(c.dopr) != s.w or len(c.wpr) != s.w
-        ]
-        if short:
-            problems.append(f"set {k}: codes {short} do not have {s.w} entries")
-            bad_sets.add(k)
-    checks.append(Check("parameter-consistency", not problems, "; ".join(problems)))
-
-    # difference-sum: every difference list sums to the code length
-    problems = []
-    for k, s in enumerate(doc.sets):
-        for i, c in enumerate(s.codes):
-            if sum(c.dopr) != s.n:
-                problems.append(
-                    f"set {k} code {i}: differences sum to {sum(c.dopr)}, expected {s.n}"
+            unsound("parameter-consistency", k, f"set {k}: {exc}")
+        else:
+            short = [
+                i
+                for i, c in enumerate(s.codes)
+                if len(c.dopr) != s.w or len(c.wpr) != s.w
+            ]
+            if short:
+                unsound(
+                    "parameter-consistency",
+                    k,
+                    f"set {k}: codes {short} do not have {s.w} entries",
                 )
-                bad_sets.add(k)
-    checks.append(Check("difference-sum", not problems, "; ".join(problems)))
-
-    # difference-range: every difference within [1, n - 1]
-    problems = []
-    for k, s in enumerate(doc.sets):
         for i, c in enumerate(s.codes):
+            total = sum(c.dopr)
+            if total != s.n:
+                unsound(
+                    "difference-sum",
+                    k,
+                    f"set {k} code {i}: differences sum to {total}, expected {s.n}",
+                )
             if len(c.dopr) == 1:
-                ok = c.dopr == (s.n,)
+                in_range = c.dopr == (s.n,)
             else:
-                ok = all(1 <= d <= s.n - 1 for d in c.dopr)
-            if not ok:
-                problems.append(f"set {k} code {i}: difference out of range")
-                bad_sets.add(k)
-    checks.append(Check("difference-range", not problems, "; ".join(problems)))
-
-    # position-consistency: stored positions are the running difference sums
-    problems = []
-    for k, s in enumerate(doc.sets):
-        for i, c in enumerate(s.codes):
-            acc = 0
-            expect = [0]
-            for d in c.dopr[:-1]:
-                acc += d
-                expect.append(acc)
-            if list(c.wpr) != expect or any(not 0 <= p < s.n for p in c.wpr):
-                problems.append(
-                    f"set {k} code {i}: positions do not match the differences"
+                in_range = all(1 <= d <= s.n - 1 for d in c.dopr)
+            if not in_range:
+                unsound(
+                    "difference-range", k, f"set {k} code {i}: difference out of range"
                 )
-                bad_sets.add(k)
-    checks.append(Check("position-consistency", not problems, "; ".join(problems)))
-
-    # canonical-rotation: stored rotation is the canonical one
-    problems = []
-    for k, s in enumerate(doc.sets):
-        for i, c in enumerate(s.codes):
+            if list(c.wpr) != list(accumulate(c.dopr[:-1], initial=0)) or any(
+                not 0 <= p < s.n for p in c.wpr
+            ):
+                unsound(
+                    "position-consistency",
+                    k,
+                    f"set {k} code {i}: positions do not match the differences",
+                )
             std = _standard_rotation(c.dopr)
             if c.dopr != std:
-                problems.append(
+                problems["canonical-rotation"].append(
                     f"set {k} code {i}: {list(c.dopr)} should be stored as {list(std)}"
                 )
-    checks.append(Check("canonical-rotation", not problems, "; ".join(problems)))
 
-    # build validated codes and their tables; one entry index over all of
-    # them gives each code's level, each in-set pair's and each set pair's
-    starts: dict[int, tuple[int, tuple[Dopr, ...]]] = {}  # first table, codes
+    # One entry index over the tables of every sound set gives each code's
+    # level, each in-set pair's and each set pair's.
+    sound = [k for k in params if k not in bad_sets]
     tables: list[EdopMatrix] = []
+    wprs: list[Wpr] = []  # per table, positions read once
     set_of: list[int] = []  # set index of each table
-    for k, s in enumerate(doc.sets):
-        if k in bad_sets:
-            continue
-        codes = tuple(Dopr(c.dopr, s.n) for c in s.codes)
-        starts[k] = len(tables), codes
-        tables.extend(edop_full(c) for c in codes)
+    for k in sound:
+        codes = [Dopr(c.dopr, doc.sets[k].n) for c in doc.sets[k].codes]
+        tables.extend(map(edop_full, codes))
+        wprs.extend(map(wpr_from_dopr, codes))
         set_of.extend([k] * len(codes))
     overlaps = _row_overlaps(tables)
-    valid: dict[int, _SetLevels] = {}
-    for k, (t, codes) in starts.items():
-        size = len(codes)
-        valid[k] = _SetLevels(
-            params_by_set[k],
-            tuple(wpr_from_dopr(c) for c in codes),
-            tuple(tables[t : t + size]),
-            tuple(1 + overlaps[t + i, t + i] for i in range(size)),
-            {
-                (i, j): 1 + overlaps[t + i, t + j]
-                for i in range(size)
-                for j in range(i + 1, size)
-            },
-        )
+
+    # Correlation rules, one sound set at a time.
+    applicable = False  # whether shared-difference applies to any set
+    t = 0  # index of the set's first table
+    for k in sound:
+        s, p = doc.sets[k], params[k]
+        size = len(s.codes)
+        auto = [1 + overlaps[t + i, t + i] for i in range(size)]
+        for i, level in enumerate(auto):
+            if level > p.lambda_a:
+                problems["auto-correlation-bound"].append(
+                    f"set {k} code {i}: self correlation {level} exceeds {p.lambda_a}"
+                )
+            brute = autocorr_bruteforce(wprs[t + i]).lambda_ax
+            if brute != level:
+                problems["method-agreement"].append(
+                    f"set {k} code {i}: "
+                    f"self correlation {brute} by shifts, {level} by tables"
+                )
+        applicable = applicable or (p.lambda_c == 1 and size > 1)
+        cross_peak = 0
+        for i in range(size):
+            for j in range(i + 1, size):
+                level = 1 + overlaps[t + i, t + j]
+                cross_peak = max(cross_peak, level)
+                brute = crosscorr_bruteforce(wprs[t + i], wprs[t + j]).lambda_cxy
+                if brute != level:
+                    problems["method-agreement"].append(
+                        f"set {k} codes {i},{j}: "
+                        f"cross {brute} by shifts, {level} by tables"
+                    )
+                if level > p.lambda_c:
+                    problems["cross-correlation-bound"].append(
+                        f"set {k} codes {i},{j}: "
+                        f"cross correlation {level} exceeds {p.lambda_c}"
+                    )
+                if p.lambda_c == 1 and level > 1:
+                    shared = tables[t + i].entry_set & tables[t + j].entry_set
+                    problems["shared-difference"].append(
+                        f"set {k} codes {i},{j}: shared table entries {sorted(shared)}"
+                    )
+        expected = johnson_bound(p.n, p.w, max(p.lambda_a, p.lambda_c))
+        if s.bound != expected:
+            problems["set-size-bound"].append(
+                f"set {k}: stored bound {s.bound}, recomputed {expected}"
+            )
+        elif p.lambda_a == p.lambda_c and size > expected:
+            problems["set-size-bound"].append(
+                f"set {k}: {size} codes exceed the bound {expected}"
+            )
+        if s.verified_lambda_a != max(auto):
+            problems["stored-auto-correlation"].append(
+                f"set {k}: stored {s.verified_lambda_a}, recomputed {max(auto)}"
+            )
+        if s.verified_lambda_c != cross_peak:
+            problems["stored-cross-correlation"].append(
+                f"set {k}: stored {s.verified_lambda_c}, recomputed {cross_peak}"
+            )
+        t += size
+
+    # family-separation: sets are pairwise separated and the stored peak is right
     interset: dict[tuple[int, int], int] = {}  # set pairs whose rows share entries
     for (ti, tj), count in overlaps.items():
         ka, kb = set_of[ti], set_of[tj]
         if ka != kb and count > interset.get((ka, kb), 0):
             interset[ka, kb] = count
-    skip_note = (
-        f"sets {sorted(bad_sets)} not evaluated (structural failure)"
-        if bad_sets
-        else ""
-    )
-
-    def finish(rule: str, problems: list[str]) -> None:
-        parts = ["; ".join(problems)] if problems else []
-        if skip_note:
-            parts.append(skip_note)
-        checks.append(Check(rule, not problems, "; ".join(parts)))
-
-    # auto-correlation-bound: each code meets the self-correlation ceiling
-    problems = []
-    for k, v in valid.items():
-        ceiling = v.params.lambda_a
-        for i, level in enumerate(v.auto):
-            if level > ceiling:
-                problems.append(
-                    f"set {k} code {i}: self correlation {level} exceeds {ceiling}"
-                )
-    finish("auto-correlation-bound", problems)
-
-    # method-agreement: shift counting and table overlap agree
-    problems = []
-    for k, v in valid.items():
-        for i, (code, table) in enumerate(zip(v.wprs, v.auto)):
-            brute = autocorr_bruteforce(code).lambda_ax
-            if brute != table:
-                problems.append(
-                    f"set {k} code {i}: self correlation {brute} by shifts, {table} by tables"
-                )
-        for (i, j), table in v.cross.items():
-            brute = crosscorr_bruteforce(v.wprs[i], v.wprs[j]).lambda_cxy
-            if brute != table:
-                problems.append(
-                    f"set {k} codes {i},{j}: cross {brute} by shifts, {table} by tables"
-                )
-    finish("method-agreement", problems)
-
-    # cross-correlation-bound: every pair meets the cross ceiling
-    problems = []
-    for k, v in valid.items():
-        ceiling = v.params.lambda_c
-        for (i, j), level in v.cross.items():
-            if level > ceiling:
-                problems.append(
-                    f"set {k} codes {i},{j}: cross correlation {level} exceeds {ceiling}"
-                )
-    finish("cross-correlation-bound", problems)
-
-    # shared-difference: unit-cross sets must not share any table entry
-    problems = []
-    applicable = False
-    for k, v in valid.items():
-        mats = v.mats
-        if v.params.lambda_c != 1 or len(mats) < 2:
-            continue
-        applicable = True
-        for (i, j), level in v.cross.items():
-            if level == 1:
-                continue  # no row of one table shares an entry with the other
-            shared = mats[i].entry_set & mats[j].entry_set
-            problems.append(
-                f"set {k} codes {i},{j}: shared table entries {sorted(shared)}"
-            )
-    parts = []
-    if problems:
-        parts.append("; ".join(problems))
-    elif not applicable:
-        parts.append("no multi-code sets with a cross ceiling of 1")
-    if skip_note:
-        parts.append(skip_note)
-    checks.append(Check("shared-difference", not problems, "; ".join(parts)))
-
-    # set-size-bound: stored bound is correct and respected
-    problems = []
-    for k, v in valid.items():
-        p, s = v.params, doc.sets[k]
-        expected = johnson_bound(p.n, p.w, max(p.lambda_a, p.lambda_c))
-        if s.bound != expected:
-            problems.append(f"set {k}: stored bound {s.bound}, recomputed {expected}")
-        elif p.lambda_a == p.lambda_c and len(s.codes) > expected:
-            problems.append(
-                f"set {k}: {len(s.codes)} codes exceed the bound {expected}"
-            )
-    finish("set-size-bound", problems)
-
-    # stored-auto-correlation: recorded set level matches recomputation
-    problems = []
-    for k, v in valid.items():
-        level = max(v.auto)
-        if doc.sets[k].verified_lambda_a != level:
-            problems.append(
-                f"set {k}: stored {doc.sets[k].verified_lambda_a}, recomputed {level}"
-            )
-    finish("stored-auto-correlation", problems)
-
-    # stored-cross-correlation: recorded pairwise level matches recomputation
-    problems = []
-    for k, v in valid.items():
-        level = max(v.cross.values(), default=0)
-        if doc.sets[k].verified_lambda_c != level:
-            problems.append(
-                f"set {k}: stored {doc.sets[k].verified_lambda_c}, recomputed {level}"
-            )
-    finish("stored-cross-correlation", problems)
-
-    # family-separation: sets are pairwise separated and the stored peak is right
-    problems = []
-    keys = sorted(valid)
     peak = 0
-    for a_pos, ka in enumerate(keys):
-        pa = valid[ka].params
-        for kb in keys[a_pos + 1 :]:
-            pb = valid[kb].params
+    for a_pos, ka in enumerate(sound):
+        for kb in sound[a_pos + 1 :]:
             level = 1 + interset.get((ka, kb), 0)
             peak = max(peak, level)
-            limit = min(pa.lambda_c, pb.lambda_c) + 1
+            limit = min(params[ka].lambda_c, params[kb].lambda_c) + 1
             if level > limit:
-                problems.append(
+                problems["family-separation"].append(
                     f"sets {ka},{kb}: inter-set correlation {level} exceeds {limit}"
                 )
     if not bad_sets and doc.family_interset_lambda != peak:
-        problems.append(
+        problems["family-separation"].append(
             f"stored family level {doc.family_interset_lambda}, recomputed {peak}"
         )
-    finish("family-separation", problems)
 
+    checks = []
+    for index, rule in enumerate(_RULES):
+        found = problems[rule]
+        parts = ["; ".join(found)] if found else []
+        if rule == "shared-difference" and not found and not applicable:
+            parts.append("no multi-code sets with a cross ceiling of 1")
+        if index >= 5 and bad_sets:  # a correlation rule
+            parts.append(f"sets {sorted(bad_sets)} not evaluated (structural failure)")
+        checks.append(Check(rule, not found, "; ".join(parts)))
     return VerificationReport(tuple(checks))

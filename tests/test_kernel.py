@@ -86,6 +86,7 @@ def positions(code):
 @given(lists_of(pool_codes, 14), st.integers(1, 3))
 def test_build_graph_edges_match_both_reference_routes(pool, threshold):
     graph = build_graph(pool, threshold)
+    assert CodeGraph(graph.nodes, graph.masks) == graph
     for i, a in enumerate(pool):
         for j in range(i + 1, len(pool)):
             b = pool[j]
@@ -118,6 +119,7 @@ def candidate_sets(draw, n=None):
 def test_clique_set_matrix_matches_interset_crosscorr(sets):
     graph = clique_set_matrix(sets)
     assert graph.nodes == tuple(sets)
+    assert CodeGraph(graph.nodes, graph.masks) == graph
     for i, a in enumerate(sets):
         for j, b in enumerate(sets):
             limit = min(a.params.lambda_c, b.params.lambda_c) + 1
