@@ -4,132 +4,26 @@ Codes live as bit patterns, one-position lists, or cyclic difference
 tuples; difference tables give correlation levels without shifting, a
 greedy clique search assembles compatible codes into sets and sets into
 families, and documents freeze the result for later re-verification.
+
+The package re-exports the ``__all__`` of each submodule below; the
+command line (`oockit.cli`) is imported only by its entry points.
 """
 
-from .cliques import (
-    CliqueSet,
-    CodeGraph,
-    Family,
-    build_graph,
-    clique_set_matrix,
-    enumerate_cliques,
-    greedy_clique,
-    make_clique_set,
-    max_clique_exact,
-    select_family,
-    verify_maximality,
-)
-from .codes import (
-    BinaryCode,
-    CodeParams,
-    Dopr,
-    PartialDopr,
-    StandardDopr,
-    Wpr,
-    binary_from_wpr,
-    dopr_from_wpr,
-    last_difference_range,
-    max_difference_at,
-    rotations,
-    standardize,
-    wpr_from_binary,
-    wpr_from_dopr,
-)
-from .correlation import (
-    CorrelationReport,
-    CrossReport,
-    autocorr_bruteforce,
-    autocorr_edop,
-    crosscorr_bruteforce,
-    crosscorr_edop,
-    interset_crosscorr,
-    johnson_bound,
-    set_lambda_a,
-    set_lambda_c,
-)
-from .design import (
-    DesignConfig,
-    design_fixed,
-    design_multi,
-    enumerate_first_pairs,
-    extend_clique_codes,
-)
-from .document import (
-    CodeSetDocument,
-    DocumentError,
-    TOOL_VERSION,
-    VerificationReport,
-    document_from_family,
-    family_to_csv,
-    from_json,
-    to_canonical_json,
-    verify_document,
-)
-from .edop import (
-    EdopMatrix,
-    ZeroAugmentedEdop,
-    check_complement_closure,
-    edop_full,
-    edop_partial,
-    zero_augment,
-)
+from .codes import *
+from .edop import *
+from .correlation import *
+from .cliques import *
+from .design import *
+from .document import *
 
 __version__ = TOOL_VERSION
 
 __all__ = [
     "__version__",
-    "BinaryCode",
-    "Wpr",
-    "Dopr",
-    "StandardDopr",
-    "PartialDopr",
-    "CodeParams",
-    "rotations",
-    "standardize",
-    "wpr_from_binary",
-    "binary_from_wpr",
-    "dopr_from_wpr",
-    "wpr_from_dopr",
-    "max_difference_at",
-    "last_difference_range",
-    "EdopMatrix",
-    "ZeroAugmentedEdop",
-    "edop_full",
-    "edop_partial",
-    "zero_augment",
-    "check_complement_closure",
-    "CorrelationReport",
-    "CrossReport",
-    "autocorr_bruteforce",
-    "crosscorr_bruteforce",
-    "autocorr_edop",
-    "crosscorr_edop",
-    "set_lambda_a",
-    "set_lambda_c",
-    "interset_crosscorr",
-    "johnson_bound",
-    "CodeGraph",
-    "CliqueSet",
-    "Family",
-    "build_graph",
-    "greedy_clique",
-    "enumerate_cliques",
-    "verify_maximality",
-    "max_clique_exact",
-    "make_clique_set",
-    "clique_set_matrix",
-    "select_family",
-    "DesignConfig",
-    "enumerate_first_pairs",
-    "extend_clique_codes",
-    "design_fixed",
-    "design_multi",
-    "CodeSetDocument",
-    "DocumentError",
-    "VerificationReport",
-    "document_from_family",
-    "to_canonical_json",
-    "from_json",
-    "family_to_csv",
-    "verify_document",
+    *codes.__all__,
+    *edop.__all__,
+    *correlation.__all__,
+    *cliques.__all__,
+    *design.__all__,
+    *document.__all__,
 ]

@@ -6,15 +6,13 @@ and ``convert`` translates between code representations.
 
 Exit codes: 0 success, 1 bad arguments, 2 design found nothing, 3 a
 document failed verification (or could not be parsed as a document),
-4 file I/O failure.  Set OOCKIT_VERBOSE=1 for debug logging on stderr.
+4 file I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -269,10 +267,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if os.environ.get("OOCKIT_VERBOSE"):
-        logging.basicConfig(
-            level=logging.DEBUG, stream=sys.stderr, format="%(name)s: %(message)s"
-        )
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

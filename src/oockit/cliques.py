@@ -426,23 +426,22 @@ def clique_set_matrix(cliques) -> CodeGraph:
     ``params.lambda_c`` is its cross ceiling, so a joined pair's inter-set
     peak is at most the stricter ceiling plus one, the floor forced
     between distinct maximal cliques.  Each distinct ceiling c judges its
-    own sets at c + 1 entries; a clash found there with a set of higher
-    ceiling is mirrored onto that set, whose own level would miss it.
+    own sets at c + 1 entries: they take every clash found there, and
+    every other set takes its clashes with them.  A set of higher ceiling
+    needs those, since its own level would miss them; for a set of lower
+    ceiling they repeat clashes its own level already found, as sharing
+    c + 1 entries implies sharing fewer.
     """
     items = tuple(cliques)
-    size = len(items)
     ceilings = [s.params.lambda_c for s in items]
     rows = [_set_rows(s) for s in items]
     n = _common_length(c for s in items for c in s.codes)
-    clash = [0] * size
+    clash = [0] * len(items)
     for c in set(ceilings):
         level = _clashes([_subset_keys(r, c + 1, n) for r in rows])
-        higher = sum(1 << j for j, cj in enumerate(ceilings) if cj > c)
-        for i in compress(range(size), map(c.__eq__, ceilings)):
-            clash[i] |= level[i]
-            if level[i] & higher:
-                for j in _members(level[i] & higher, size):
-                    clash[j] |= 1 << i
+        judged = sum(1 << i for i, ci in enumerate(ceilings) if ci == c)
+        for i, ci in enumerate(ceilings):
+            clash[i] |= level[i] if ci == c else level[i] & judged
     return _clash_complement(items, clash)
 
 

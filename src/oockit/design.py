@@ -24,7 +24,6 @@ whose rows family selection and the guard read.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate
@@ -43,7 +42,6 @@ from .codes import (
     PartialDopr,
     StandardDopr,
     _standard_rotation,
-    last_difference_range,
     max_difference_at,
 )
 
@@ -61,8 +59,6 @@ __all__ = [
     "design_fixed",
     "design_multi",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -120,6 +116,14 @@ def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
 # Both public functions call this rather than each other, so that a traced
 # run files the opening pairs and the extensions under separate spans.
 def _extend(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
+    """The extensions of ``codes``, each parent's children with e ascending.
+
+    Parents of one length in strictly increasing ``dops`` order therefore
+    yield children in strictly increasing ``dops`` order, as a child's
+    tuple starts with its parent's.  The opening singletons come in that
+    order, and `design_fixed` extends each clique's members in pool order,
+    so every pool it builds is sorted without a sort.
+    """
     n, w, lam = params.n, params.w, params.lambda_a
     out: list[PartialDopr] = []
     seen: set[tuple[int, ...]] = set()
@@ -178,27 +182,16 @@ def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
     not all of them.  Duplicates are poison for the degree-greedy walk:
     copies of one class are mutually non-adjacent yet share all other
     neighbors, so they inflate the degrees of everything around them and
-    steer the walk away from large cliques.  A closing difference that
-    lands outside the canonical last-position range is logged and the code
-    is re-rotated rather than thrown away; discarding it would leave the
+    steer the walk away from large cliques.  A code whose closing
+    difference lands outside the canonical last-position range is
+    re-rotated rather than thrown away; discarding it would leave the
     other emitted sets extendable by the discarded class.
     """
-    n, w = params.n, params.w
-    lo, hi = last_difference_range(n, w)
+    n = params.n
     closed: list[StandardDopr] = []
     seen: set[tuple[int, ...]] = set()
     for member in pool:
-        closing = n - sum(member.dops)
-        if not lo <= closing <= hi:
-            log.debug(
-                "closing difference %d of %s is outside [%d, %d]; "
-                "re-rotating instead of discarding",
-                closing,
-                member.dops,
-                lo,
-                hi,
-            )
-        dops = _standard_rotation(member.dops + (closing,))
+        dops = _standard_rotation(member.dops + (n - sum(member.dops),))
         if dops not in seen:
             seen.add(dops)
             closed.append(StandardDopr(dops, n))
@@ -229,7 +222,6 @@ def design_fixed(params: CodeParams, max_sets: int | None = None) -> Family:
         pool = pools.popleft()
         if not pool:
             continue
-        pool = tuple(sorted(pool, key=lambda c: c.dops))
         final = pool[0].u == params.w - 1
         if final:
             pool = _close_pool(pool, params)

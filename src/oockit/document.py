@@ -344,9 +344,9 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
         problems[rule].append(problem)
         bad_sets.add(k)
 
-    # Structural rules: admissible parameters and lists of length w,
-    # differences that sum to n and lie in [1, n - 1], positions that are
-    # their running sums, and the canonical rotation.
+    # Structural rules: admissible parameters, at least one code, lists of
+    # length w, differences that sum to n and lie in [1, n - 1], positions
+    # that are their running sums, and the canonical rotation.
     params: dict[int, CodeParams] = {}
     for k, s in enumerate(doc.sets):
         try:
@@ -359,7 +359,9 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
                 for i, c in enumerate(s.codes)
                 if len(c.dopr) != s.w or len(c.wpr) != s.w
             ]
-            if short:
+            if not s.codes:
+                unsound("parameter-consistency", k, f"set {k}: no codes")
+            elif short:
                 unsound(
                     "parameter-consistency",
                     k,
@@ -389,7 +391,7 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
                     k,
                     f"set {k} code {i}: positions do not match the differences",
                 )
-            std = _standard_rotation(c.dopr)
+            std = _standard_rotation(c.dopr) if c.dopr else c.dopr
             if c.dopr != std:
                 problems["canonical-rotation"].append(
                     f"set {k} code {i}: {list(c.dopr)} should be stored as {list(std)}"

@@ -8,15 +8,18 @@ host program does, since the parser it uses is built once per process.
 
 from __future__ import annotations
 
+import hashlib
 import json
-import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from oockit import from_json
 from oockit.cli import main
+
+BENCHMARK_PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
 
 RULES = (
     "parameter-consistency",
@@ -35,14 +38,9 @@ RULES = (
 )
 
 
-def run(*argv, **env_extra):
-    env = dict(os.environ)
-    env.update(env_extra)
+def run(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "oockit", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-m", "oockit", *argv], capture_output=True, text=True
     )
 
 
@@ -227,12 +225,12 @@ def test_no_subcommand_exits_1():
     assert result.returncode == 1
 
 
-def test_verbose_mode_logs_designer_decisions():
-    quiet = run("design", "--n", "25", "--w", "3")
-    loud = run("design", "--n", "25", "--w", "3", OOCKIT_VERBOSE="1")
-    assert quiet.stderr == ""
-    assert "re-rotating" in loud.stderr
-    assert loud.stdout == quiet.stdout
+def test_design_writes_nothing_to_stderr():
+    result = run("design", "--n", "25", "--w", "3")
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert digest == json.loads(BENCHMARK_PINS.read_text("utf-8"))["25,3,1,1"]
 
 
 def test_repeated_calls_in_one_process(tmp_path, capsys):

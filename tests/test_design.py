@@ -143,6 +143,33 @@ def test_extension_equals_the_candidate_by_candidate_check(case):
     )
 
 
+@st.composite
+def sorted_parents(draw):
+    """Parameters and 1..4 distinct prefixes of one length u, sorted."""
+    w = draw(st.integers(3, 7))
+    n = draw(st.integers(w + 1, 60))
+    params = CodeParams(n, w, draw(st.integers(1, min(3, w - 1))), 1)
+    u = draw(st.integers(1, w - 2))
+    top = n - (w - u)
+    prefixes = set()
+    for _ in range(draw(st.integers(1, 4))):
+        ends = sorted(draw(st.sets(st.integers(1, top), min_size=u, max_size=u)))
+        prefixes.add(tuple(b - a for a, b in zip([0] + ends, ends)))
+    return params, sorted(prefixes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sorted_parents())
+def test_extensions_of_sorted_parents_come_sorted(case):
+    # design_fixed relies on this order and does not sort its pools.
+    params, parents = case
+    n, w = params.n, params.w
+    grown = extend_clique_codes([PartialDopr(d, n, w) for d in parents], params)
+    assert all(a.dops < b.dops for a, b in zip(grown, grown[1:]))
+    pairs = enumerate_first_pairs(params)
+    assert all(a.dops < b.dops for a, b in zip(pairs, pairs[1:]))
+
+
 def test_extensions_deduplicate_across_clique_members():
     a = PartialDopr((1, 2), 13, 4)
     b = PartialDopr((1, 2), 13, 4)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -262,6 +263,34 @@ def test_set_size_bound_skips_structurally_bad_sets():
     assert failed_rules(doc) == {"parameter-consistency"}
     detail = {c.rule: c.detail for c in verify_document(doc).checks}
     assert "sets [1] not evaluated" in detail["set-size-bound"]
+
+
+def with_first_set(doc, **changes):
+    """``doc`` with its first set changed: a document built in code, which
+    `from_json` would refuse."""
+    first = dataclasses.replace(doc.sets[0], **changes)
+    return dataclasses.replace(doc, sets=(first, *doc.sets[1:]))
+
+
+def test_empty_set_is_reported_not_raised():
+    report = verify_document(with_first_set(DOC13, codes=()))
+    detail = {c.rule: c.detail for c in report.checks}
+    assert {c.rule for c in report.failures()} == {"parameter-consistency"}
+    assert detail["parameter-consistency"] == "set 0: no codes"
+    assert "sets [0] not evaluated" in detail["auto-correlation-bound"]
+
+
+def test_empty_code_is_reported_not_raised():
+    codes = (DocumentCode((), ()), *DOC13.sets[0].codes[1:])
+    report = verify_document(with_first_set(DOC13, codes=codes))
+    detail = {c.rule: c.detail for c in report.checks}
+    assert {c.rule for c in report.failures()} == {
+        "parameter-consistency",
+        "difference-sum",
+        "position-consistency",
+    }
+    assert detail["parameter-consistency"] == "set 0: codes [0] do not have 4 entries"
+    assert "sets [0] not evaluated" in detail["auto-correlation-bound"]
 
 
 def test_tamper_stored_auto_correlation():

@@ -53,3 +53,12 @@ EXPORTERS = ["oockit", *(f"oockit.{m}" for m in SUBMODULES if not m.startswith("
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_exports_each_submodule_name_once():
+    parts = ("codes", "edop", "correlation", "cliques", "design", "document")
+    expected = ["__version__"]
+    for part in parts:
+        expected += importlib.import_module(f"oockit.{part}").__all__
+    assert importlib.import_module("oockit").__all__ == expected
+    assert len(set(expected)) == len(expected)
