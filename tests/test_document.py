@@ -131,6 +131,48 @@ def test_reader_rejects_malformed_documents(mutate, message):
         doc_from_payload(payload)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        "params.n",
+        "params.w",
+        "params.lambda_a",
+        "params.lambda_c",
+        "bound",
+        "verified_lambda_a",
+        "verified_lambda_c",
+    ],
+)
+def test_reader_names_each_non_integer_set_field(field):
+    payload = payload_of(DOC7)
+    *parents, key = field.split(".")
+    target = payload["sets"][0]
+    for parent in parents:
+        target = target[parent]
+    target[key] = "1"
+    with pytest.raises(DocumentError) as excinfo:
+        doc_from_payload(payload)
+    assert str(excinfo.value) == f"sets[0].{field} must be an integer"
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda params: params.pop("w"), "sets[0].params is missing field(s): w"),
+        (
+            lambda params: params.__setitem__("m", 1),
+            "sets[0].params has unknown field(s): m",
+        ),
+    ],
+)
+def test_reader_names_the_params_object(mutate, message):
+    payload = payload_of(DOC7)
+    mutate(payload["sets"][0]["params"])
+    with pytest.raises(DocumentError) as excinfo:
+        doc_from_payload(payload)
+    assert str(excinfo.value) == message
+
+
 def test_reader_rejects_non_json():
     with pytest.raises(DocumentError, match="not valid JSON"):
         from_json("{not json")
