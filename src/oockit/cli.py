@@ -38,7 +38,7 @@ from .document import (
     verify_document,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -192,8 +192,11 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the ``oockit`` command line."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser for the ``oockit`` command line: built on the first call,
+    then kept for the life of the process, since building it costs as much
+    as a small verify."""
     parser = _Parser(
         prog="oockit",
         description="Design and verify unipolar code families with bounded correlations.",
@@ -257,13 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     convert.set_defaults(func=cmd_convert)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses: built on its first call, then kept for the
-    life of the process, since building it costs as much as a small verify."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -6,8 +6,7 @@ compatible codes is exactly a clique.  The search is the degree-greedy
 walk: select a highest-degree node (ties to the lowest index), restrict
 the graph to its neighborhood, repeat.  The walk always lands on a maximal
 clique; enumerating one walk per highest-degree start node yields the
-candidate sets, and a guarded exact search exists to keep the greedy
-answers honest in tests.
+candidate sets.
 
 Two facts make the walk cheap on dense graphs without changing what it
 selects.  A node joined to every other working node stays so while the
@@ -85,7 +84,6 @@ __all__ = [
     "greedy_clique",
     "enumerate_cliques",
     "verify_maximality",
-    "max_clique_exact",
     "make_clique_set",
     "clique_set_matrix",
     "select_family",
@@ -312,38 +310,6 @@ def verify_maximality(members, candidates, threshold: int) -> bool:
         if all(crosscorr_edop(cand, m).lambda_cxy <= threshold for m in member_list):
             return False
     return True
-
-
-def max_clique_exact(graph: CodeGraph, size_cap: int) -> tuple[int, ...]:
-    """Exact maximum clique up to ``size_cap``, for small instances only.
-
-    Depth-first extension over index-ascending candidates; equivalent to
-    enumerating all subsets up to the cap, with pruning.  Guarded to pools
-    of at most 24 nodes unless the cap is at most 6.
-    """
-    size = len(graph.nodes)
-    if size_cap < 1:
-        raise ValueError("size cap must be at least 1")
-    if size > 24 and size_cap > 6:
-        raise ValueError(
-            "exact search is guarded to pools of <= 24 nodes or caps of <= 6"
-        )
-    masks = graph.masks
-    best: tuple[int, ...] = ()
-
-    def grow(base: list[int], cand: list[int]) -> None:
-        nonlocal best
-        if len(base) > len(best):
-            best = tuple(base)
-        if len(base) == size_cap:
-            return
-        for idx, v in enumerate(cand):
-            if len(base) + len(cand) - idx <= len(best):
-                return
-            grow(base + [v], [u for u in cand[idx + 1 :] if masks[v] >> u & 1])
-
-    grow([], list(range(size)))
-    return best
 
 
 @dataclass(frozen=True)

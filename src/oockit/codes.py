@@ -260,5 +260,11 @@ def max_difference_at(n: int, w: int, position: int) -> int:
 
 
 def last_difference_range(n: int, w: int) -> tuple[int, int]:
-    """Inclusive range of the closing difference in canonical form."""
+    """Inclusive range of the closing difference in canonical form.
+
+    This is the only statement of the paper's published closing range, the
+    companion of `max_difference_at`'s caps on the other slots; the tests
+    check every canonical code against both.  The designer never calls it:
+    the length forces the closing difference, n minus the sum of the rest.
+    """
     return (-(-n // w), n - w + 1)

@@ -52,6 +52,12 @@ FORMAT_VERSION = "1"
 TOOL_NAME = "oockit"
 TOOL_VERSION = "0.1.0"
 
+# A stored set's integer fields: its parameters, named as on `CodeParams`
+# and nested under "params", then its recorded levels, named as on
+# `CliqueSet`.  The reader checks them in this order.
+_PARAMS = ("n", "w", "lambda_a", "lambda_c")
+_LEVELS = ("bound", "verified_lambda_a", "verified_lambda_c")
+
 
 class DocumentError(ValueError):
     """Raised when a document fails schema validation."""
@@ -100,13 +106,8 @@ def document_from_family(family: Family, config: dict | None = None) -> CodeSetD
         )
         doc_sets.append(
             DocumentSet(
-                n=s.params.n,
-                w=s.params.w,
-                lambda_a=s.params.lambda_a,
-                lambda_c=s.params.lambda_c,
-                bound=s.bound,
-                verified_lambda_a=s.verified_lambda_a,
-                verified_lambda_c=s.verified_lambda_c,
+                **{f: getattr(s.params, f) for f in _PARAMS},
+                **{f: getattr(s, f) for f in _LEVELS},
                 codes=codes,
             )
         )
@@ -132,15 +133,8 @@ def to_canonical_json(doc: CodeSetDocument) -> str:
         "family_interset_lambda": doc.family_interset_lambda,
         "sets": [
             {
-                "params": {
-                    "n": s.n,
-                    "w": s.w,
-                    "lambda_a": s.lambda_a,
-                    "lambda_c": s.lambda_c,
-                },
-                "bound": s.bound,
-                "verified_lambda_a": s.verified_lambda_a,
-                "verified_lambda_c": s.verified_lambda_c,
+                "params": {f: getattr(s, f) for f in _PARAMS},
+                **{f: getattr(s, f) for f in _LEVELS},
                 "codes": [
                     {"dopr": list(c.dopr), "wpr": list(c.wpr)} for c in s.codes
                 ],
@@ -214,14 +208,8 @@ def from_json(text: str) -> CodeSetDocument:
     sets = []
     for k, raw_set in enumerate(top["sets"]):
         where = f"sets[{k}]"
-        obj = _object(
-            raw_set,
-            {"params", "bound", "verified_lambda_a", "verified_lambda_c", "codes"},
-            where,
-        )
-        params = _object(
-            obj["params"], {"n", "w", "lambda_a", "lambda_c"}, f"{where}.params"
-        )
+        obj = _object(raw_set, {"params", *_LEVELS, "codes"}, where)
+        params = _object(obj["params"], set(_PARAMS), f"{where}.params")
         if not isinstance(obj["codes"], list) or not obj["codes"]:
             raise DocumentError(f"{where}.codes must be a non-empty array")
         codes = []
@@ -236,17 +224,8 @@ def from_json(text: str) -> CodeSetDocument:
             )
         sets.append(
             DocumentSet(
-                n=_integer(params["n"], f"{where}.params.n"),
-                w=_integer(params["w"], f"{where}.params.w"),
-                lambda_a=_integer(params["lambda_a"], f"{where}.params.lambda_a"),
-                lambda_c=_integer(params["lambda_c"], f"{where}.params.lambda_c"),
-                bound=_integer(obj["bound"], f"{where}.bound"),
-                verified_lambda_a=_integer(
-                    obj["verified_lambda_a"], f"{where}.verified_lambda_a"
-                ),
-                verified_lambda_c=_integer(
-                    obj["verified_lambda_c"], f"{where}.verified_lambda_c"
-                ),
+                **{f: _integer(params[f], f"{where}.params.{f}") for f in _PARAMS},
+                **{f: _integer(obj[f], f"{where}.{f}") for f in _LEVELS},
                 codes=tuple(codes),
             )
         )

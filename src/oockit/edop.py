@@ -71,12 +71,8 @@ class EdopMatrix:
         return len(self.rows)
 
     @cached_property
-    def row_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(row) for row in self.rows)
-
-    @cached_property
     def entry_set(self) -> frozenset[int]:
-        return frozenset().union(*self.row_sets)
+        return frozenset(chain.from_iterable(self.rows))
 
 
 @dataclass(frozen=True)

@@ -90,28 +90,32 @@ def unit_auto_classes(n, w):
     ]
 
 
-def max_clique_size(adjacency, cap=None):
-    """Exact maximum clique size by depth-first extension.
+def max_clique(adjacency, cap=None):
+    """Members of a maximum clique, ascending, by depth-first extension.
 
     ``adjacency`` maps node -> set of neighbors.  ``cap`` stops growth at
     a known ceiling, which also prunes the search.
     """
-    nodes = sorted(adjacency)
-    best = 0
+    best = ()
 
-    def grow(base_len, cand):
+    def grow(base, cand):
         nonlocal best
-        if base_len > best:
-            best = base_len
-        if cap is not None and base_len >= cap:
+        if len(base) > len(best):
+            best = base
+        if cap is not None and len(base) >= cap:
             return
         for k, v in enumerate(cand):
-            if base_len + len(cand) - k <= best:
+            if len(base) + len(cand) - k <= len(best):
                 return
-            grow(base_len + 1, [u for u in cand[k + 1 :] if u in adjacency[v]])
+            grow(base + (v,), [u for u in cand[k + 1 :] if u in adjacency[v]])
 
-    grow(0, nodes)
+    grow((), sorted(adjacency))
     return best
+
+
+def max_clique_size(adjacency, cap=None):
+    """Size of `max_clique`."""
+    return len(max_clique(adjacency, cap))
 
 
 def greedy_walk(adjacency, start=None):

@@ -1,4 +1,4 @@
-"""Compatibility graphs, greedy and exact clique search, set assembly."""
+"""Compatibility graphs, greedy clique search, set assembly."""
 
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from oockit import (
     greedy_clique,
     johnson_bound,
     make_clique_set,
-    max_clique_exact,
     select_family,
     standardize,
     verify_maximality,
@@ -32,6 +31,7 @@ from oockit import (
 
 from oracles import (
     max_auto,
+    max_clique,
     max_clique_size,
     max_cross,
     rotation_classes,
@@ -189,7 +189,7 @@ def test_greedy_results_on_random_graphs_are_maximal_cliques():
         for v in range(size):
             if v not in members:
                 assert not members <= g.neighbors[v], "greedy missed an extension"
-        adjacency = {v: set(g.neighbors[v]) for v in range(size)}
+        adjacency = dict(enumerate(g.neighbors))
         assert len(clique) <= max_clique_size(adjacency)
 
 
@@ -207,46 +207,13 @@ def test_enumerate_cliques_runs_once_per_top_degree_start():
     assert enumerate_cliques(graph_of(0, [])) == ()
 
 
-def test_exact_search_agrees_with_the_oracle():
-    rng = random.Random(4242)
-    for _ in range(40):
-        size = rng.randrange(1, 11)
-        edges = [
-            (a, b)
-            for a in range(size)
-            for b in range(a + 1, size)
-            if rng.random() < 0.5
-        ]
-        g = graph_of(size, edges)
-        adjacency = {v: set(g.neighbors[v]) for v in range(size)}
-        found = max_clique_exact(g, size_cap=size)
-        assert len(found) == max_clique_size(adjacency)
-        for a in found:
-            for b in found:
-                if a != b:
-                    assert b in g.neighbors[a]
-
-
-def test_exact_search_cap_truncates():
-    k5 = graph_of(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
-    assert len(max_clique_exact(k5, size_cap=3)) == 3
-
-
-def test_exact_search_guard():
-    big = graph_of(25, [])
-    with pytest.raises(ValueError):
-        max_clique_exact(big, size_cap=7)
-    assert max_clique_exact(big, size_cap=6) == (0,)
-    with pytest.raises(ValueError):
-        max_clique_exact(big, size_cap=0)
-
-
 def test_bound_attaining_clique_among_low_auto_classes():
     """The 80-class pool at n=25, w=3 contains a clique meeting the bound."""
     pool = classes_as_codes(25, 3, ceiling=1)
     assert len(pool) == 80
     graph = build_graph(pool, threshold=1)
-    best = max_clique_exact(graph, size_cap=johnson_bound(25, 3, 1))
+    adjacency = dict(enumerate(graph.neighbors))
+    best = max_clique(adjacency, cap=johnson_bound(25, 3, 1))
     assert len(best) == 4
     members = [pool[i] for i in best]
     assert verify_maximality(members, pool, 1)
@@ -376,5 +343,6 @@ def test_relaxing_the_ceiling_never_shrinks_the_best_clique(n):
         ]
         graph = build_graph(pool, threshold=lam)
         # A shared cap keeps the comparison valid: min(., cap) is monotone.
-        sizes.append(len(max_clique_exact(graph, size_cap=4)))
+        adjacency = dict(enumerate(graph.neighbors))
+        sizes.append(max_clique_size(adjacency, cap=4))
     assert sizes[0] <= sizes[1]

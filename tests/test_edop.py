@@ -113,9 +113,8 @@ def test_the_checked_constructor_accepts_every_table_a_code_builds(code):
     assert EdopMatrix(code.table.rows, code.n) == code.table
 
 
-def test_row_sets_and_entry_set():
+def test_entry_set_holds_every_table_entry():
     table = edop_full(WORKED)
-    assert table.row_sets[0] == frozenset({2, 5, 9})
     assert table.entry_set == frozenset({2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 
 
