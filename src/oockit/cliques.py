@@ -38,7 +38,10 @@ its folded distance, which `build_graph` keys as a plain int.  Groups
 that mix lengths keep every subset.
 
 `build_graph` keys each code straight from its differences and builds no
-table; it joins the codes that do not clash at the design threshold.
+table; it joins the codes that do not clash at the design threshold.  At
+threshold 1 with one length its keys are the folded distances each code
+carries: the designer's codes get them from extension, which has just
+counted every distance, and any other code computes its own once.
 `clique_set_matrix` keys the rows of each candidate set's members and
 joins the sets that do not clash one entry above the stricter of their
 ceilings, and `select_family` reads the family level off the largest k
@@ -63,13 +66,8 @@ from itertools import chain, combinations, compress, repeat
 from operator import or_
 
 from .codes import CodeParams, Dopr, PartialDopr
-from .correlation import (
-    crosscorr_edop,
-    johnson_bound,
-    set_lambda_a,
-    set_lambda_c,
-)
-from .edop import _anchored_rows, _check_integers, _folded_distances
+from .correlation import _row_overlaps, crosscorr_edop, johnson_bound
+from .edop import _anchored_rows, _check_integers
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
 # three names on this module, so they must stay importable from it.
@@ -187,14 +185,18 @@ def _subset_keys(rows, k: int, n: int | None):
 
 
 def _code_keys(code, k: int, n: int | None):
-    """The keys of a complete code, or of a partial code's closed companion."""
-    dops = code.dops
-    if isinstance(code, PartialDopr):
-        dops += (code.n - sum(dops),)
-    elif len(dops) < 2:
+    """The keys of a complete code, or of a partial code's closed companion.
+
+    At k = 1 with a common length the keys are the folded distances the
+    code carries, set by extension for the designer's codes and otherwise
+    computed on first use.
+    """
+    partial = isinstance(code, PartialDopr)
+    if not partial and len(code.dops) < 2:
         raise ValueError("difference tables need weight >= 2")
     if k == 1 and n is not None:
-        return _folded_distances(dops, n)
+        return code._folded
+    dops = code.dops + (code.n - sum(code.dops),) if partial else code.dops
     return _subset_keys(_anchored_rows(dops), k, n)
 
 
@@ -345,12 +347,15 @@ def make_clique_set(codes, params: CodeParams) -> CliqueSet:
         if c.n != params.n or c.weight != params.w:
             raise ValueError(f"code {c.dops} does not match {params}")
     ordered = tuple(sorted(codes, key=lambda c: c.dops))
-    lam_a = set_lambda_a(ordered)
+    # One index of every member's rows settles both levels.
+    overlaps = _row_overlaps([c.table for c in ordered])
+    lam_a = 1 + max(overlaps[i, i] for i in range(len(ordered)))
     if lam_a > params.lambda_a:
         raise ValueError(
             f"set self correlation {lam_a} exceeds lambda_a={params.lambda_a}"
         )
-    lam_c = set_lambda_c(ordered) if len(ordered) > 1 else 0
+    pairs = combinations(range(len(ordered)), 2)
+    lam_c = 1 + max(overlaps[p] for p in pairs) if len(ordered) > 1 else 0
     if lam_c > params.lambda_c:
         raise ValueError(
             f"set cross correlation {lam_c} exceeds lambda_c={params.lambda_c}"

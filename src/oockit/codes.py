@@ -20,7 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .edop import EdopMatrix, _check_integers, edop_full, edop_partial
+from .edop import (
+    EdopMatrix,
+    _check_integers,
+    _folded_distances,
+    edop_full,
+    edop_partial,
+)
 
 __all__ = [
     "CodeParams",
@@ -144,6 +150,15 @@ class Dopr:
         """The code's difference table, built on first use and kept."""
         return edop_full(self)
 
+    @cached_property
+    def _folded(self) -> tuple[int, ...]:
+        """min(d, n - d) per pair of one-bits, the keys `build_graph` reads.
+
+        Computed on first use, unless the designer set it when it closed
+        the code: rotation keeps every distance.
+        """
+        return tuple(_folded_distances(self.dops, self.n))
+
 
 def rotations(dops: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All rotations of a difference tuple, starting from the identity."""
@@ -201,6 +216,15 @@ class PartialDopr:
     def table(self) -> EdopMatrix:
         """The closed companion's difference table, built on first use and kept."""
         return edop_partial(self)
+
+    @cached_property
+    def _folded(self) -> tuple[int, ...]:
+        """The closed companion's min(d, n - d) per pair of one-bits.
+
+        Computed on first use, unless extension set it when it admitted
+        the code, from its parent's.
+        """
+        return tuple(_folded_distances(self.dops + (self.n - sum(self.dops),), self.n))
 
 
 def wpr_from_binary(code: BinaryCode) -> Wpr:

@@ -265,13 +265,15 @@ def crosscorr_edop(
 
 
 def set_lambda_a(codes) -> int:
-    """Largest self correlation across a set of codes."""
+    """Largest self correlation across a set of codes.
+
+    Each table is indexed alone, so the work grows with the set's size,
+    not with its pairs.
+    """
     codes = list(codes)
     if not codes:
         raise ValueError("set correlation needs at least one code")
-    tables = [_as_matrix(c) for c in codes]
-    overlaps = _row_overlaps(tables)
-    return 1 + max(overlaps[i, i] for i in range(len(tables)))
+    return 1 + max(_row_overlaps([_as_matrix(c)])[0, 0] for c in codes)
 
 
 def set_lambda_c(codes) -> int:

@@ -6,11 +6,12 @@ links compatible partial codes into a graph, harvests greedy cliques, and
 grows every clique member by one more difference, the step that also
 made the opening pairs from single differences.  That step counts, once
 per parent, how often each cyclic distance occurs between the one-bits of
-the parent's closed companion; a candidate difference adds one one-bit,
-so only its distances to and from the parent's one-bits are new, and the
-candidate passes when no count then exceeds the ceiling.  A rejected
-candidate builds no object, and graphs key a kept one straight from its
-differences, so no graph node builds a difference table.  Once a single
+the parent's closed companion, and turns the counts into one int mask of
+the positions a new one-bit may not take; the parent's children are the
+positions of its range left free.  A refused position builds no object.
+Each child carries its closed companion's folded distances, its
+parent's plus those of its new one-bit, and the graphs key it by them,
+so no graph node builds a difference table.  Once a single
 free position remains, the closing difference is forced by the length:
 each member is completed, put in canonical rotation and kept once per
 rotation class, the last graph is built on those complete codes, and its
@@ -100,15 +101,15 @@ def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
     the positions still unfilled, and keep the partial self correlation
     within the ceiling.  That correlation is the largest number of times
     one cyclic distance occurs between the one-bits of the closed
-    companion.  Each parent's distances are counted once; a candidate
-    adds the 2(u+1) distances between its new one-bit and the parent's,
-    so it costs O(u) integer steps, and only a candidate that passes
-    becomes a `PartialDopr`.  A parent already over the ceiling yields
-    nothing, since adding a one-bit never lowers a count.  A difference
-    equal to its predecessor is skipped unscored when the ceiling is 1,
-    where it can never survive, and when it would be the second
-    difference: one-difference codes extend as in `enumerate_first_pairs`,
-    into pairs of distinct differences.
+    companion.  Each parent's distances are counted once and turned into
+    one mask of refused positions, so a parent costs O(u^2) integer steps
+    and a few n-bit int operations, whatever its range; only a position
+    left free becomes a `PartialDopr`.  A parent already over the ceiling
+    yields nothing, since adding a one-bit never lowers a count.  A
+    difference equal to its predecessor is skipped unscored when the
+    ceiling is 1, where it can never survive, and when it would be the
+    second difference: one-difference codes extend as in
+    `enumerate_first_pairs`, into pairs of distinct differences.
     """
     return _extend(codes, params)
 
@@ -118,11 +119,25 @@ def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
 def _extend(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
     """The extensions of ``codes``, each parent's children with e ascending.
 
-    Parents of one length in strictly increasing ``dops`` order therefore
-    yield children in strictly increasing ``dops`` order, as a child's
-    tuple starts with its parent's.  The opening singletons come in that
-    order, and `design_fixed` extends each clique's members in pool order,
-    so every pool it builds is sorted without a sort.
+    A child adds one-bit x to its parent's one-bits P, and so the ordered
+    distances x - p and p - x for each p; a distance m counted c times by
+    the parent exceeds the ceiling lambda when c >= lambda and x - p or
+    p - x is m, or when c >= lambda - 1 and both are, which needs
+    2x = p + q for some p, q in P.  With L_k the n-bit mask of the
+    distances counted at least k times (L_0 all of Z_n), the refused x are
+    therefore L_lambda rotated by each p, plus the solutions of
+    2x = p + q whose distance x - p lies in L_(lambda-1).  Only
+    x = (p + q + n) / 2 can lie past the parent's last one-bit, so each
+    pair gives at most one.  A parent is scored once, as a few int masks,
+    and its children are the bits of its range left unrefused.
+
+    Each child carries its closed companion's folded distances, its
+    parent's plus min(x - p, n - x + p) for each p, for `build_graph`.
+    Parents of one length in strictly increasing ``dops`` order yield
+    children in strictly increasing ``dops`` order, as a child's tuple
+    starts with its parent's.  The opening singletons come in that order,
+    and `design_fixed` extends each clique's members in pool order, so
+    every pool it builds is sorted without a sort.
     """
     n, w, lam = params.n, params.w, params.lambda_a
     out: list[PartialDopr] = []
@@ -137,25 +152,39 @@ def _extend(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
         counts = Counter((q - p) % n for p in pos for q in pos if p != q)
         if max(counts.values()) > lam:
             continue  # a child's counts are never below its parent's
+        # L_lambda, the distances at the ceiling, and L_(lambda-1).
+        full = sum(1 << m for m, c in counts.items() if c >= lam)
+        near = (
+            sum(1 << m for m, c in counts.items() if c >= lam - 1)
+            if lam > 1
+            else (1 << n) - 1
+        )
+        refused = 0
+        for i, p in enumerate(pos):
+            refused |= full << p | full >> (n - p)
+            for q in pos[i:]:
+                # x = (p + q + n) / 2 lies at distance (q - p + n) / 2 past p.
+                if (q - p + n) % 2 == 0 and near >> (q - p + n) // 2 & 1:
+                    refused |= 1 << (p + q + n) // 2
         total = pos[-1]
         cap = min(max_difference_at(n, w, u + 1), n - (w - u - 1) - total)
-        for e in range(1, cap + 1):
-            if e == code.dops[-1] and (u == 1 or lam == 1):
-                continue
-            # The child adds one-bit x: only its distances to and from the
-            # parent's one-bits are new.
-            x = total + e
-            grown: dict[int, int] = {}
-            for m in [(x - p) % n for p in pos] + [(p - x) % n for p in pos]:
-                k = grown.get(m, counts.get(m, 0)) + 1
-                if k > lam:
-                    break
-                grown[m] = k
-            else:
-                dops = code.dops + (e,)
-                if dops not in seen:
-                    seen.add(dops)
-                    out.append(PartialDopr(dops, n, w))
+        admitted = ((1 << cap) - 1) << (total + 1) & ~refused
+        if u == 1 or lam == 1:
+            # A repeated difference: never admissible at lambda 1, and
+            # opening pairs are of distinct differences.
+            admitted &= ~(1 << (total + code.dops[-1]))
+        folded = code._folded
+        while admitted:
+            x = (admitted & -admitted).bit_length() - 1
+            admitted &= admitted - 1
+            dops = code.dops + (x - total,)
+            if dops not in seen:
+                seen.add(dops)
+                child = PartialDopr(dops, n, w)
+                vars(child)["_folded"] = folded + tuple(
+                    [x - p if 2 * (x - p) <= n else n - x + p for p in pos]
+                )
+                out.append(child)
     return tuple(out)
 
 
@@ -174,9 +203,10 @@ def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
     Each member is closed with the difference the length forces and its
     tuple put in canonical rotation; the first code of each class in pool
     order is kept, and only kept codes are built (with every check).
-    The members already meet the self-correlation ceiling, because
-    extension judged each one's closed companion, which at u = w-1 is the
-    complete code.
+    Each takes its member's carried folded distances, which rotation
+    keeps, for the last graph.  The members already meet the
+    self-correlation ceiling, because extension judged each one's closed
+    companion, which at u = w-1 is the complete code.
 
     The positional ranges prune most rotational duplicates from a pool but
     not all of them.  Duplicates are poison for the degree-greedy walk:
@@ -194,7 +224,9 @@ def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
         dops = _standard_rotation(member.dops + (n - sum(member.dops),))
         if dops not in seen:
             seen.add(dops)
-            closed.append(StandardDopr(dops, n))
+            code = StandardDopr(dops, n)
+            vars(code)["_folded"] = member._folded
+            closed.append(code)
     return tuple(closed)
 
 

@@ -33,9 +33,19 @@ __all__ = [
 ]
 
 
+_PLAIN_INT = frozenset({int})
+
+
 def _check_integers(what: str, *values) -> None:
-    """Refuse bools and floats such as 7.0, which documents cannot round-trip."""
-    if any(issubclass(t, bool) or not issubclass(t, int) for t in set(map(type, values))):
+    """Refuse bools and floats such as 7.0, which documents cannot round-trip.
+
+    Every code constructor calls this, so plain ints pass on one set
+    comparison; only other types are looked at one by one.
+    """
+    types = set(map(type, values))
+    if types == _PLAIN_INT:
+        return
+    if any(issubclass(t, bool) or not issubclass(t, int) for t in types):
         raise ValueError(f"{what} must be an integer")
 
 

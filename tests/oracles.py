@@ -172,9 +172,15 @@ def companion_positions(dops):
 
 
 def shift_peak(positions, n):
-    """Largest overlap of a position set with its shifts 1..n-1."""
+    """Largest overlap of a position set with its shifts 1..n-1.
+
+    Only a shift that moves some one-bit p onto another one-bit q, that
+    is m = q - p, can overlap at all, so only those shifts are tried;
+    the others overlap 0.  At least two positions are needed.
+    """
     ones = set(positions)
-    return max(len(ones & {(p + m) % n for p in ones}) for m in range(1, n))
+    shifts = {(q - p) % n for p in ones for q in ones if p != q}
+    return max(len(ones & {(p + m) % n for p in ones}) for m in shifts)
 
 
 def extend_prefixes(prefixes, n, w, lambda_a):
@@ -188,7 +194,7 @@ def extend_prefixes(prefixes, n, w, lambda_a):
     closed companion's self-correlation peak is at most ``lambda_a``; the
     kept tuples come in order, each once.
     """
-    out = []
+    out = {}  # insertion-ordered, so each kept tuple once, in order
     for dops in prefixes:
         u = len(dops)
         slot = (n - w + 1) // 2 if u + 1 <= (w - 1) // 2 else (n - w + 2) // 2
@@ -198,6 +204,5 @@ def extend_prefixes(prefixes, n, w, lambda_a):
                 continue
             cand = tuple(dops) + (e,)
             if shift_peak(companion_positions(cand), n) <= lambda_a:
-                if cand not in out:
-                    out.append(cand)
-    return out
+                out.setdefault(cand)
+    return list(out)

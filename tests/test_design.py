@@ -10,6 +10,7 @@ import oockit.design
 from oockit import (
     CodeParams,
     DesignConfig,
+    Dopr,
     PartialDopr,
     Wpr,
     build_graph,
@@ -33,6 +34,7 @@ from oockit import (
 
 from oockit import codes
 from oockit.cli import main
+from oockit.edop import _folded_distances
 
 from oracles import (
     companion_positions,
@@ -109,12 +111,13 @@ def test_extension_respects_range_room_and_correlation():
 def extension_parents(draw):
     """Parameters and 1..3 extendable prefixes, some already over lambda_a.
 
-    n runs 4..60, w 3..7 and lambda_a 1..3.  For even n the prefix may be
-    made to reach position n/2, whose distance n/2 to the anchor counts
-    twice: a one-difference parent (n/2,) or one at lambda 2 already.
+    n runs 4..130, so distance masks run wider than 64 bits, w 3..7 and
+    lambda_a 1..3.  For even n the prefix may be made to reach position
+    n/2, whose distance n/2 to the anchor counts twice: a one-difference
+    parent (n/2,) or one at lambda 2 already.
     """
     w = draw(st.integers(3, 7))
-    n = draw(st.integers(max(4, w + 1), 60))
+    n = draw(st.integers(max(4, w + 1), 130))
     params = CodeParams(n, w, draw(st.integers(1, min(3, w - 1))), 1)
     parents = []
     for _ in range(draw(st.integers(1, 3))):
@@ -141,6 +144,39 @@ def test_extension_equals_the_candidate_by_candidate_check(case):
     assert [p.dops for p in enumerate_first_pairs(params)] == extend_prefixes(
         firsts, n, w, params.lambda_a
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(extension_parents())
+def test_children_carry_their_companions_folded_distances(case):
+    """Extension hands each child its folded distances for the graph build.
+
+    A child carries its parent's plus those of its new one-bit, and
+    `_close_pool` copies them onto the complete code; the unit-threshold
+    graphs keyed by the carried values equal those of fresh copies, which
+    compute their own.
+    """
+    params, parents = case
+    n, w = params.n, params.w
+    grown = extend_clique_codes([PartialDopr(d, n, w) for d in parents], params)
+    # Grow a few of the short children until every code is one short.
+    pool = list(grown)
+    while short := [g for g in pool if g.u < w - 1]:
+        pool = [g for g in pool if g.u == w - 1]
+        pool += extend_clique_codes(short[:3], params)
+    complete = oockit.design._close_pool(pool, params)
+    # Checked before any graph reads them, so none was computed on demand.
+    for g in (*grown, *pool):
+        assert "_folded" in vars(g)
+        closed = g.dops + (n - sum(g.dops),)
+        assert set(g._folded) == set(_folded_distances(closed, n))
+    for c in complete:
+        assert "_folded" in vars(c)
+        assert set(c._folded) == set(_folded_distances(c.dops, n))
+    fresh = [PartialDopr(g.dops, n, w) for g in grown]
+    assert build_graph(grown, 1).masks == build_graph(fresh, 1).masks
+    fresh = [Dopr(c.dops, n) for c in complete]
+    assert build_graph(complete, 1).masks == build_graph(fresh, 1).masks
 
 
 @st.composite

@@ -21,7 +21,7 @@ from oockit import (
     zero_augment,
 )
 from oockit.correlation import _as_matrix
-from oockit.edop import _folded_distances
+from oockit.edop import _check_integers, _folded_distances
 
 from oracles import all_subsets, anchored_difference_table, gaps_of
 
@@ -198,3 +198,32 @@ def test_matrix_accepts_int_subclasses_other_than_bool():
 
     table = EdopMatrix(((I(1), I(2)), (1, I(3)), (2, 3)), I(5))
     assert table.weight == 3
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "values, accepted",
+    [
+        ((7,), True),
+        ((7, 0, -3), True),
+        ((_Int(7),), True),
+        ((7, _Int(7)), True),
+        ((), True),
+        ((True,), False),
+        ((7.0,), False),
+        (("7",), False),
+        ((None,), False),
+        ((7, 7.0), False),
+        ((7, True, _Int(7)), False),
+    ],
+)
+def test_check_integers_accepts_ints_and_their_subclasses_but_bool(values, accepted):
+    if accepted:
+        assert _check_integers("n and each entry", *values) is None
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            _check_integers("n and each entry", *values)
+        assert str(excinfo.value) == "n and each entry must be an integer"
