@@ -72,7 +72,8 @@ def _broadcast(values: list[int], count: int, flag: str) -> list[int]:
         return values
     if len(values) == 1:
         return values * count
-    raise UsageError(f"{flag} has {len(values)} entries, expected 1 or {count}")
+    expected = "1" if count == 1 else f"1 or {count}"
+    raise UsageError(f"{flag} has {len(values)} entries, expected {expected}")
 
 
 def cmd_design(args) -> int:

@@ -8,13 +8,20 @@ the graph to its neighborhood, repeat.  The walk always lands on a maximal
 clique; enumerating one walk per highest-degree start node yields the
 candidate sets.
 
-Two facts make the walk cheap on dense graphs without changing what it
-selects.  A node joined to every other working node stays so while the
-working set shrinks, so the walk takes all such nodes in one step, in
-ascending order, as single steps would.  And a step depends only on the
+Three facts make the walk cheap on dense graphs without changing what
+it selects.  A node joined to every other working node stays so while
+the working set shrinks, so the walk takes all such nodes in one step, in
+ascending order, as single steps would.  A step depends only on the
 working set, so within one `enumerate_cliques` call a map from working
 set to the rest of its walk lets walks from different starts that reach
-the same set share its tail; the map lives only for that call.
+the same set share its tail; the map lives only for that call.  And two
+starts v and v' with one closed neighbourhood C (each joined to the
+other and to the same other nodes) end on one clique, so only the first
+is walked.  v' is joined to every other node of C, so the walk from v
+takes a batch first, v' in it, and likewise the walk from v'.  Either
+start with its first batch is exactly the set of nodes of C joined to
+all the rest of C, so the two walks then hold the same working set, C
+less that set, and reach the same member set.
 
 The designer's graph build, clique walk and family selection share one
 int-bitset kernel.  Two codes' cross correlation exceeds k exactly when
@@ -275,9 +282,11 @@ def enumerate_cliques(graph: CodeGraph) -> tuple[tuple[int, ...], ...]:
     """One greedy run per highest-degree start node, de-duplicated.
 
     Order follows the ascending start index, so the result is a
-    deterministic function of the graph.  The runs of one call share a
-    map from each working node set to the rest of its walk, so walks that
-    reach the same set are finished once.
+    deterministic function of the graph.  A start whose closed
+    neighbourhood equals an earlier start's is not walked, since its walk
+    ends on the same member set (see the module docstring).  The runs of
+    one call share a map from each working node set to the rest of its
+    walk, so walks that reach the same set are finished once.
     """
     masks, size = graph.masks, len(graph.nodes)
     degrees = [m.bit_count() for m in masks]
@@ -285,9 +294,15 @@ def enumerate_cliques(graph: CodeGraph) -> tuple[tuple[int, ...], ...]:
     tails: dict[int, tuple[int, ...]] = {}
     found: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
+    closed: set[int] = set()
     for v, d in enumerate(degrees):
         if d != top:
             continue
+        # A closed twin of an earlier start ends on that start's clique.
+        neighbourhood = masks[v] | 1 << v
+        if neighbourhood in closed:
+            continue
+        closed.add(neighbourhood)
         clique = (v, *_walk(masks, size, masks[v], tails))
         key = frozenset(clique)
         if key not in seen:

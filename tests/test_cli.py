@@ -115,6 +115,19 @@ def test_design_usage_errors_exit_1():
         assert result.stderr, argv
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--n", "25", "--w", "3", "--lambda-a", "1,2"), "has 2 entries, expected 1\n"),
+        (("--n", "7,13", "--w", "3,4", "--lambda-c", "1,1,1"), "expected 1 or 2\n"),
+    ],
+)
+def test_design_names_the_entry_counts_a_ceiling_list_may_have(argv, message):
+    result = run("design", *argv)
+    assert result.returncode == 1
+    assert result.stderr.endswith(message)
+
+
 def test_design_unwritable_output_exits_4(tmp_path):
     target = tmp_path / "missing-dir" / "family.json"
     result = run("design", "--n", "7", "--w", "3", "--out", str(target))

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+import oockit.cliques
 from oockit import (
     BinaryCode,
     CodeGraph,
@@ -37,6 +38,24 @@ from oracles import (
     rotation_classes,
     unit_auto_classes,
 )
+
+
+@pytest.fixture
+def walks_of(monkeypatch):
+    """`enumerate_cliques` of a graph and the number of walks it ran."""
+    walk = oockit.cliques._walk
+
+    def run(graph):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(oockit.cliques, "_walk", counted)
+        return enumerate_cliques(graph), len(calls)
+
+    return run
 
 
 def graph_of(size, edges):
@@ -141,16 +160,18 @@ def test_first_pair_graph_work_counts_are_exact(params, nodes, edges):
         (CodeParams(19, 4, 2, 2), 38, [45]),
     ],
 )
-def test_near_complete_opening_graph_walks_are_exact(params, starts, sizes):
+def test_near_complete_opening_graph_walks_are_exact(params, starts, sizes, walks_of):
     """Every top-degree walk of these λ_c = 2 opening graphs ends on one clique.
 
-    Most of their nodes are joined to every other node, so each walk takes
-    them all; the walks from the many starts share one result.
+    Their top-degree starts are joined to every other node, so all share
+    one closed neighbourhood and only the first is walked.
     """
     graph = build_graph(enumerate_first_pairs(params), params.lambda_c)
     degrees = [m.bit_count() for m in graph.masks]
     assert degrees.count(max(degrees)) == starts
-    assert [len(c) for c in enumerate_cliques(graph)] == sizes
+    found, walks = walks_of(graph)
+    assert [len(c) for c in found] == sizes
+    assert walks == 1
 
 
 def test_greedy_on_trivial_graphs():
@@ -198,13 +219,18 @@ def test_greedy_is_deterministic():
     assert greedy_clique(g) == greedy_clique(g)
 
 
-def test_enumerate_cliques_runs_once_per_top_degree_start():
+def test_enumerate_cliques_walks_once_per_top_degree_closed_neighbourhood(walks_of):
+    # The path's two starts have different closed neighbourhoods.
     path = graph_of(4, [(0, 1), (1, 2), (2, 3)])
-    assert enumerate_cliques(path) == ((1, 0), (2, 1))
-    # All three triangle starts collapse to one clique.
+    assert walks_of(path) == (((1, 0), (2, 1)), 2)
+    # The three triangle starts share one closed neighbourhood.
     k3_plus_isolated = graph_of(4, [(0, 1), (0, 2), (1, 2)])
-    assert enumerate_cliques(k3_plus_isolated) == ((0, 1, 2),)
-    assert enumerate_cliques(graph_of(0, [])) == ()
+    assert walks_of(k3_plus_isolated) == (((0, 1, 2),), 1)
+    # Opposite corners of a square share their neighbours but are not
+    # joined, so each is walked.
+    square = graph_of(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert walks_of(square) == (((0, 1), (2, 1), (3, 0)), 4)
+    assert walks_of(graph_of(0, [])) == ((), 0)
 
 
 def test_bound_attaining_clique_among_low_auto_classes():

@@ -196,6 +196,24 @@ def graphs(draw):
     return adjacency
 
 
+@st.composite
+def twinned_graphs(draw):
+    """A drawn graph with closed and open twins of its nodes planted in it.
+
+    A closed twin is joined to its original and to all of its neighbours,
+    an open twin to the neighbours only.  Twins may copy earlier twins,
+    so one neighbourhood can be shared by more than two nodes.
+    """
+    adjacency = draw(graphs())
+    for closed in draw(st.lists(st.booleans(), max_size=6 if adjacency else 0)):
+        v = draw(st.integers(0, len(adjacency) - 1))
+        twin = len(adjacency)
+        adjacency[twin] = adjacency[v] | {v} if closed else set(adjacency[v])
+        for u in adjacency[twin]:
+            adjacency[u].add(twin)
+    return adjacency
+
+
 def masks_of(adjacency):
     return tuple(sum(1 << u for u in adjacency[v]) for v in range(len(adjacency)))
 
@@ -210,6 +228,13 @@ def test_greedy_clique_matches_the_set_based_walk(adjacency):
 @settings(max_examples=200, deadline=None)
 @given(graphs())
 def test_enumerate_cliques_matches_one_set_based_walk_per_top_start(adjacency):
+    graph = CodeGraph(tuple(range(len(adjacency))), masks_of(adjacency))
+    assert enumerate_cliques(graph) == greedy_walks(adjacency)
+
+
+@settings(max_examples=200, deadline=None)
+@given(twinned_graphs())
+def test_enumerate_cliques_matches_every_start_walk_on_graphs_with_twins(adjacency):
     graph = CodeGraph(tuple(range(len(adjacency))), masks_of(adjacency))
     assert enumerate_cliques(graph) == greedy_walks(adjacency)
 
