@@ -187,8 +187,6 @@ def cmd_convert(args) -> int:
         print("wpr:", "-".join(str(p) for p in wpr.positions))
     elif args.to == "dopr":
         print("dopr:", "-".join(str(d) for d in dopr.dops))
-    else:
-        print("dopr:", "-".join(str(d) for d in standard.dops))
     print("standard:", "-".join(str(d) for d in standard.dops))
     return EXIT_OK
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .edop import (
     EdopMatrix,
@@ -250,12 +251,7 @@ def dopr_from_wpr(wpr: Wpr) -> Dopr:
 
 def wpr_from_dopr(dopr: Dopr) -> Wpr:
     """The shift anchored at position 0: running sums of all but the last gap."""
-    acc = 0
-    positions = [0]
-    for d in dopr.dops[:-1]:
-        acc += d
-        positions.append(acc)
-    return Wpr(tuple(positions), dopr.n)
+    return Wpr(tuple(accumulate(dopr.dops[:-1], initial=0)), dopr.n)
 
 
 def standardize(dopr: Dopr) -> StandardDopr:

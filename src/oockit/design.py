@@ -1,26 +1,13 @@
 """Greedy construction of code families.
 
-Codes are built one difference at a time.  Opening pairs that respect the
-positional ranges and the self-correlation ceiling seed a pool; each stage
-links compatible partial codes into a graph, harvests greedy cliques, and
-grows every clique member by one more difference, the step that also
-made the opening pairs from single differences.  That step counts, once
-per parent, how often each cyclic distance occurs between the one-bits of
-the parent's closed companion, and turns the counts into one int mask of
-the positions a new one-bit may not take; the parent's children are the
-positions of its range left free.  A refused position builds no object.
-Each child carries its closed companion's folded distances, its
-parent's plus those of its new one-bit, and the graphs key it by them,
-so no graph node builds a difference table.  Once a single
-free position remains, the closing difference is forced by the length:
-each member is completed, put in canonical rotation and kept once per
-rotation class, the last graph is built on those complete codes, and its
-cliques compete for membership in the emitted family.  They compete as
-plain candidates, unverified; only the sets the family keeps are
-assembled by `make_clique_set`, whose independent recheck of every self
-and cross correlation and of the cardinality bound thus guards each
-emitted set.  Tables are built only by the members of candidate sets,
-whose rows family selection and the guard read.
+Codes are built one difference at a time.  Opening pairs seed a pool;
+each stage links compatible partial codes into a graph, harvests greedy
+cliques, and grows every clique member by one more difference.  Once a
+single free position remains, the length forces the closing difference,
+and the cliques of the last graph, on complete canonical codes, compete
+for membership in the emitted family.  No graph node builds a difference
+table; only the members of candidate sets do, for family selection and
+the guard.
 """
 
 from __future__ import annotations
@@ -95,41 +82,24 @@ def enumerate_first_pairs(params: CodeParams) -> tuple[PartialDopr, ...]:
 
 
 def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
-    """One-difference extensions of every member of a partial-code clique.
+    """The one-difference extensions of ``codes``, parent by parent.
 
     A new difference must stay inside its positional range, leave room for
-    the positions still unfilled, and keep the partial self correlation
-    within the ceiling.  That correlation is the largest number of times
-    one cyclic distance occurs between the one-bits of the closed
-    companion.  Each parent's distances are counted once and turned into
-    one mask of refused positions, so a parent costs O(u^2) integer steps
-    and a few n-bit int operations, whatever its range; only a position
-    left free becomes a `PartialDopr`.  A parent already over the ceiling
-    yields nothing, since adding a one-bit never lowers a count.  A
-    difference equal to its predecessor is skipped unscored when the
-    ceiling is 1, where it can never survive, and when it would be the
-    second difference: one-difference codes extend as in
-    `enumerate_first_pairs`, into pairs of distinct differences.
-    """
-    return _extend(codes, params)
-
-
-# Both public functions call this rather than each other, so that a traced
-# run files the opening pairs and the extensions under separate spans.
-def _extend(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
-    """The extensions of ``codes``, each parent's children with e ascending.
-
-    A child adds one-bit x to its parent's one-bits P, and so the ordered
-    distances x - p and p - x for each p; a distance m counted c times by
-    the parent exceeds the ceiling lambda when c >= lambda and x - p or
-    p - x is m, or when c >= lambda - 1 and both are, which needs
-    2x = p + q for some p, q in P.  With L_k the n-bit mask of the
-    distances counted at least k times (L_0 all of Z_n), the refused x are
-    therefore L_lambda rotated by each p, plus the solutions of
-    2x = p + q whose distance x - p lies in L_(lambda-1).  Only
-    x = (p + q + n) / 2 can lie past the parent's last one-bit, so each
-    pair gives at most one.  A parent is scored once, as a few int masks,
-    and its children are the bits of its range left unrefused.
+    the positions still unfilled, and keep the self correlation of the
+    closed companion within the ceiling lambda: the largest number of
+    times one cyclic distance occurs between its one-bits.  A parent over
+    the ceiling yields nothing, since adding a one-bit never lowers a
+    count.  A child adds one-bit x to its parent's one-bits P, and so the
+    distances x - p and p - x for each p; a distance m counted c times
+    exceeds lambda when c >= lambda and x - p or p - x is m, or when
+    c >= lambda - 1 and both are, which needs 2x = p + q for some p, q in
+    P.  With L_k the n-bit mask of the distances counted at least k times
+    (L_0 all of Z_n), the refused x are L_lambda rotated by each p, plus
+    the x = (p + q + n) / 2 whose distance x - p lies in L_(lambda-1).  A
+    parent costs O(u^2) integer steps and a few n-bit int operations,
+    whatever its range, and only an unrefused position becomes a
+    `PartialDopr`.  One-difference codes extend into pairs of distinct
+    differences, as `enumerate_first_pairs` needs.
 
     Each child carries its closed companion's folded distances, its
     parent's plus min(x - p, n - x + p) for each p, for `build_graph`.
@@ -169,9 +139,10 @@ def _extend(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
         total = pos[-1]
         cap = min(max_difference_at(n, w, u + 1), n - (w - u - 1) - total)
         admitted = ((1 << cap) - 1) << (total + 1) & ~refused
-        if u == 1 or lam == 1:
-            # A repeated difference: never admissible at lambda 1, and
-            # opening pairs are of distinct differences.
+        if u == 1:
+            # Opening pairs are of distinct differences.  Elsewhere a
+            # repeated difference d is refused by the mask at lambda 1,
+            # where d is a counted distance, and may be admitted above it.
             admitted &= ~(1 << (total + code.dops[-1]))
         folded = code._folded
         while admitted:
@@ -186,6 +157,10 @@ def _extend(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
                 )
                 out.append(child)
     return tuple(out)
+
+
+# `enumerate_first_pairs`' name for the step, which tracing never swaps.
+_extend = extend_clique_codes
 
 
 def _capped(cliques, max_sets: int | None):

@@ -212,6 +212,21 @@ def test_convert_dopr_to_canonical():
     assert result.stdout.splitlines()[-1] == "standard: 4-7-2-5-13"
 
 
+@pytest.mark.parametrize(
+    "target, first",
+    [
+        ("standard", ""),
+        ("dopr", "dopr: 2-5-13-4-7\n"),
+        ("wpr", "wpr: 0-2-7-20-24\n"),
+        ("binary", "binary: 1010000100000000000010001000000\n"),
+    ],
+)
+def test_convert_prints_the_given_code_then_its_standard_form(target, first):
+    result = run("convert", "--dopr", "2,5,13,4,7", "--n", "31", "--to", target)
+    assert result.returncode == 0
+    assert result.stdout == first + "standard: 4-7-2-5-13\n"
+
+
 def test_convert_wpr_to_binary():
     result = run("convert", "--wpr", "1,3,6,10", "--n", "13", "--to", "binary")
     assert result.returncode == 0

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import importlib.util
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,3 +64,11 @@ def test_package_exports_each_submodule_name_once():
         expected += importlib.import_module(f"oockit.{part}").__all__
     assert importlib.import_module("oockit").__all__ == expected
     assert len(set(expected)) == len(expected)
+
+
+def test_pyproject_version_is_the_recorded_tool_version():
+    # A regex, not tomllib, so the check runs on Python 3.10 too.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    version = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)[1]
+    assert version == importlib.import_module("oockit.document").TOOL_VERSION
+    assert version == importlib.import_module("oockit").__version__
