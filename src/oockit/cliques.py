@@ -61,8 +61,10 @@ numbering lives for one call.
 The public correlation functions (`crosscorr_edop`,
 `interset_crosscorr`), set assembly (`make_clique_set`),
 `verify_maximality` and document verification keep their independent
-routes, the table-entry index of `correlation` and shift counting,
-which the tests hold the kernel to.
+routes, which the tests hold the kernel to: shift counting, and the
+row bitsets of `correlation._row_overlaps`, which cost at most
+(w - 1)^2 int operations per table row, each on one bit per row of the
+call, so the worst case is polynomial in w.
 """
 
 from __future__ import annotations
@@ -364,13 +366,13 @@ def make_clique_set(codes, params: CodeParams) -> CliqueSet:
     ordered = tuple(sorted(codes, key=lambda c: c.dops))
     # One index of every member's rows settles both levels.
     overlaps = _row_overlaps([c.table for c in ordered])
-    lam_a = 1 + max(overlaps[i, i] for i in range(len(ordered)))
+    members = range(len(ordered))
+    lam_a = 1 + max(overlaps[i, i] for i in members)
     if lam_a > params.lambda_a:
         raise ValueError(
             f"set self correlation {lam_a} exceeds lambda_a={params.lambda_a}"
         )
-    pairs = combinations(range(len(ordered)), 2)
-    lam_c = 1 + max(overlaps[p] for p in pairs) if len(ordered) > 1 else 0
+    lam_c = 1 + overlaps.peak(members, members) if len(ordered) > 1 else 0
     if lam_c > params.lambda_c:
         raise ValueError(
             f"set cross correlation {lam_c} exceeds lambda_c={params.lambda_c}"

@@ -8,14 +8,16 @@ w_x * w_y per pair of codes, whatever n is, so a document's verify cost
 follows its size, not the length it declares.  The difference-table route
 compares rows of the codes' tables: the peak non-trivial overlap is one
 more than the largest number of entries two rows share.  It runs on one
-index of table entries, `_row_overlaps`, which maps each entry to the rows
-that hold it and counts, for every pair of rows holding a common entry,
-how many entries they share.  Its work is the sum, over entries, of the
-number of row pairs holding that entry, which equals the shared entries
-summed over all row pairs: at most w - 1 times the pairs a row-by-row
-scan visits, and far less when most pairs share nothing.  One call
-settles every table pair of a document at once.  Both routes must agree,
-share no code, and the test suite holds them to that.
+index, `_row_overlaps`: each entry value gets an int bitset of the rows
+that hold it, and each row folds its entries' bitsets into "rows sharing
+at least k of my entries" bitsets, one per level k.  That is at most
+(w - 1) * depth int operations per row, depth <= w - 1, so the worst case
+is polynomial in w; each operation is on a bitset one bit per row of the
+call.  A table's levels are its rows' levels ORed together, and a pair
+of tables, or of runs of tables, reads its count as the highest level
+whose bitset meets the other side's rows.  One call settles every table
+pair of a document at once.  Both routes must agree, share no code, and
+the test suite holds them to that.
 
 Comparison counting is opt-in.  With ``count_comparisons=True`` a route
 runs its one literal scan, shared by auto and cross correlation (n shifts
@@ -26,7 +28,7 @@ non-literal paths leave the counter None.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -148,38 +150,123 @@ def _scan_rows(row_pairs) -> tuple[int, int]:
     return best, comparisons
 
 
-def _row_overlaps(tables) -> Counter:
+class _RowOverlaps(Mapping):
     """Most entries two distinct rows share, for each pair of tables.
 
-    Keys are table index pairs (i, j) with i <= j; (i, i) compares the
-    distinct rows of table i, and a pair whose rows share nothing reads 0.
-    Each entry is indexed to the rows that hold it (a row holds an entry
-    at most once, its entries strictly increasing), and every pair of
-    those rows counts one shared entry.  Entries are compared as plain
-    integers, so the tables may differ in length and weight.
+    Keys are the table index pairs (i, j), i <= j, whose rows share an
+    entry; (i, i) compares the distinct rows of table i.  Any other pair
+    reads 0.  Table t's row j is bit t * W + j of a row bitset, W being the
+    largest weight, so the rows of a run of tables form one run of bits.
+    Table t keeps one bitset per level k, highest first: the rows sharing
+    at least k entries with some row of t.  A pair's count is the largest
+    k whose bitset meets the other table's rows.
     """
-    holders: defaultdict[int, list[int]] = defaultdict(list)
-    owner: list[int] = []  # table index of each row, rows numbered in order
+
+    __slots__ = ("_levels", "_width", "_block")
+
+    def __init__(self, levels: list[list[int]], width: int) -> None:
+        self._levels = levels
+        self._width = width
+        self._block = (1 << width) - 1  # the rows of table 0
+
+    def __getitem__(self, pair: tuple[int, int]) -> int:
+        i, j = pair
+        levels = self._levels[i]
+        rows = self._block << j * self._width
+        k = len(levels)
+        for bits in levels:
+            if bits & rows:
+                return k
+            k -= 1
+        return 0
+
+    def __contains__(self, pair) -> bool:
+        i, j = pair
+        return 0 <= i <= j < len(self._levels) and self[i, j] > 0
+
+    def __iter__(self):
+        width = self._width
+        for i, levels in enumerate(self._levels):
+            # The lowest level holds every row sharing an entry with table i.
+            hit = levels[-1] >> i * width if levels else 0
+            j = i
+            while hit:
+                skip = ((hit & -hit).bit_length() - 1) // width
+                j += skip
+                yield i, j
+                hit >>= (skip + 1) * width
+                j += 1
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def peak(self, a: range, b: range) -> int:
+        """Most entries a row of a table in ``a`` shares with a row of a
+        different table in ``b``; both are ranges of table indexes."""
+        width = self._width
+        span = (1 << b.stop * width) - (1 << b.start * width)
+        best = 0
+        for i in a:
+            others = span & ~(self._block << i * width)
+            k = len(self._levels[i])
+            for bits in self._levels[i]:
+                if k <= best:
+                    break
+                if bits & others:
+                    best = k
+                    break
+                k -= 1
+        return best
+
+
+def _row_overlaps(tables) -> _RowOverlaps:
+    """Index every row of ``tables`` by its entries and settle each pair.
+
+    Each entry value gets one bitset of the rows that hold it (a row holds
+    an entry at most once, its entries strictly increasing).  Each row
+    then folds its entries' bitsets, other rows only, into "rows sharing at
+    least k of my entries so far": an entry's rows join level k + 1 where
+    they already stand at level k.  The levels are nested, so the fold
+    stops at the first level the entry adds nothing to, and a row costs at
+    most (w - 1) * depth int operations.  A table's levels are the OR of
+    its rows' levels.  Entries are compared as plain integers, so the
+    tables may differ in length and weight.
+    """
+    width = max((len(table.rows) for table in tables), default=0)
+    holders: dict[int, int] = {}  # entry -> bitset of the rows holding it
+    get = holders.get
     for t, table in enumerate(tables):
+        bit = 1 << t * width
         for row in table.rows:
-            r = len(owner)
-            owner.append(t)
             for e in row:
-                holders[e].append(r)
-    size = len(owner)
-    shared = Counter(
-        a * size + b
-        for rows in holders.values()
-        if len(rows) > 1
-        for a, b in combinations(rows, 2)
-    )
-    best: Counter = Counter()
-    for key, count in shared.items():
-        a, b = divmod(key, size)
-        pair = owner[a], owner[b]
-        if count > best[pair]:
-            best[pair] = count
-    return best
+                holders[e] = get(e, 0) | bit
+            bit <<= 1
+    levels = []
+    for t, table in enumerate(tables):
+        table_levels: list[int] = []
+        bit = 1 << t * width
+        for row in table.rows:
+            mine: list[int] = []  # [k - 1]: rows sharing at least k entries
+            for e in row:
+                carry = holders[e] ^ bit
+                k = 0
+                while carry:
+                    if k == len(mine):
+                        mine.append(carry)
+                        break
+                    have = mine[k]
+                    mine[k] = have | carry
+                    carry &= have
+                    k += 1
+            for k, rows in enumerate(mine):
+                if k < len(table_levels):
+                    table_levels[k] |= rows
+                else:
+                    table_levels.append(rows)
+            bit <<= 1
+        table_levels.reverse()
+        levels.append(table_levels)
+    return _RowOverlaps(levels, width)
 
 
 def autocorr_bruteforce(
@@ -267,8 +354,9 @@ def crosscorr_edop(
 def set_lambda_a(codes) -> int:
     """Largest self correlation across a set of codes.
 
-    Each table is indexed alone, so the work grows with the set's size,
-    not with its pairs.
+    Each table is indexed alone, on w-bit row bitsets, at most (w - 1)^2
+    int operations per row: the work grows with the set's size, not with
+    its pairs, and polynomially in w.
     """
     codes = list(codes)
     if not codes:
@@ -281,9 +369,8 @@ def set_lambda_c(codes) -> int:
     codes = list(codes)
     if len(codes) < 2:
         raise ValueError("set cross correlation needs at least two codes")
-    tables = [_as_matrix(c) for c in codes]
-    overlaps = _row_overlaps(tables)
-    return 1 + max(overlaps[p] for p in combinations(range(len(tables)), 2))
+    every = range(len(codes))
+    return 1 + _row_overlaps([_as_matrix(c) for c in codes]).peak(every, every)
 
 
 def interset_crosscorr(a, b) -> int:
@@ -299,7 +386,7 @@ def interset_crosscorr(a, b) -> int:
         raise ValueError("inter-set correlation needs non-empty sets")
     overlaps = _row_overlaps([_as_matrix(c) for c in a_codes + b_codes])
     split, size = len(a_codes), len(a_codes) + len(b_codes)
-    return 1 + max(overlaps[p] for p in product(range(split), range(split, size)))
+    return 1 + overlaps.peak(range(split), range(split, size))
 
 
 def johnson_bound(n: int, w: int, lam: int) -> int:

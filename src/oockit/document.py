@@ -311,8 +311,10 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
     The table route runs once per document: the tables of every sound set
     go through one `_row_overlaps` call, and each code's self level, each
     in-set pair's cross level and each set pair's inter-set level are read
-    from its result.  Its work follows the entries the tables share, not
-    the number of code pairs.  The shift route, which shares no code with
+    from its result.  That call costs at most (w - 1)^2 int operations per
+    table row, on bitsets one bit per row of the document; a pair read
+    costs one AND per level, and a set pair's peak one AND per level and
+    table of the first set.  The shift route, which shares no code with
     it, reads each code's one-bit positions once and counts the shifts of
     every code and in-set pair for ``method-agreement``.
     """
@@ -381,20 +383,19 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
     sound = [k for k in params if k not in bad_sets]
     tables: list[EdopMatrix] = []
     wprs: list[Wpr] = []  # per table, positions read once
-    set_of: list[int] = []  # set index of each table
+    span: dict[int, range] = {}  # set index -> its tables' indexes
     for k in sound:
         codes = [Dopr(c.dopr, doc.sets[k].n) for c in doc.sets[k].codes]
+        span[k] = range(len(tables), len(tables) + len(codes))
         tables.extend(map(edop_full, codes))
         wprs.extend(map(wpr_from_dopr, codes))
-        set_of.extend([k] * len(codes))
     overlaps = _row_overlaps(tables)
 
     # Correlation rules, one sound set at a time.
     applicable = False  # whether shared-difference applies to any set
-    t = 0  # index of the set's first table
     for k in sound:
         s, p = doc.sets[k], params[k]
-        size = len(s.codes)
+        size, t = len(s.codes), span[k].start  # t: the set's first table
         auto = [1 + overlaps[t + i, t + i] for i in range(size)]
         for i, level in enumerate(auto):
             if level > p.lambda_a:
@@ -446,18 +447,12 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
             problems["stored-cross-correlation"].append(
                 f"set {k}: stored {s.verified_lambda_c}, recomputed {cross_peak}"
             )
-        t += size
 
     # family-separation: sets are pairwise separated and the stored peak is right
-    interset: dict[tuple[int, int], int] = {}  # set pairs whose rows share entries
-    for (ti, tj), count in overlaps.items():
-        ka, kb = set_of[ti], set_of[tj]
-        if ka != kb and count > interset.get((ka, kb), 0):
-            interset[ka, kb] = count
     peak = 0
     for a_pos, ka in enumerate(sound):
         for kb in sound[a_pos + 1 :]:
-            level = 1 + interset.get((ka, kb), 0)
+            level = 1 + overlaps.peak(span[ka], span[kb])
             peak = max(peak, level)
             limit = min(params[ka].lambda_c, params[kb].lambda_c) + 1
             if level > limit:

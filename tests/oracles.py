@@ -65,6 +65,21 @@ def anchored_difference_table(gaps):
     return tuple(rows)
 
 
+def table_cross(xpos, xn, ypos, yn):
+    """One more than the most entries a row of x's table shares with a row
+    of y's, entries compared as plain integers; lengths may differ."""
+    xrows = anchored_difference_table(gaps_of(xpos, xn))
+    yrows = anchored_difference_table(gaps_of(ypos, yn))
+    return 1 + max(len(set(rx) & set(ry)) for rx in xrows for ry in yrows)
+
+
+def canonical_gaps(gaps):
+    """The rotation of ``gaps`` with the largest last gap, then the
+    lexicographically smallest among those."""
+    rotations = [tuple(gaps[i:]) + tuple(gaps[:i]) for i in range(len(gaps))]
+    return min(rotations, key=lambda r: (-r[-1], r))
+
+
 def all_subsets(n, w):
     return combinations(range(n), w)
 

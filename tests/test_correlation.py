@@ -216,6 +216,18 @@ def test_row_overlaps_of_no_tables_and_of_disjoint_rows():
     assert _row_overlaps([x, y])[0, 1] == 0
 
 
+def test_row_overlaps_of_a_long_run_of_ones():
+    # Weight 40 as one run of consecutive one-bits at n = 1000: two of its
+    # rows share up to 38 entries, and two copies share whole rows.  An
+    # index that enumerated each row's entry subsets would take 2^39 steps.
+    n, positions = 1000, tuple(range(40))
+    table = dopr_from_wpr(Wpr(positions, n)).table
+    assert 1 + _row_overlaps([table])[0, 0] == max_auto(positions, n) == 39
+    twice = _row_overlaps([table, table])
+    assert 1 + twice[0, 1] == max_cross(positions, positions, n) == 40
+    assert dict(twice) == {(0, 0): 38, (0, 1): 39, (1, 1): 38}
+
+
 def test_table_route_rejects_bit_patterns():
     with pytest.raises(TypeError):
         autocorr_edop(X)

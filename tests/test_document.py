@@ -6,6 +6,7 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oockit.document
 from oockit import (
@@ -24,9 +25,24 @@ from oockit import (
     verify_document,
     wpr_from_dopr,
 )
-from oockit.document import CodeSetDocument, DocumentCode, DocumentSet
+from oockit.document import (
+    FORMAT_VERSION,
+    TOOL_NAME,
+    TOOL_VERSION,
+    CodeSetDocument,
+    DocumentCode,
+    DocumentSet,
+)
 
-from oracles import nested_floor_bound
+from oracles import (
+    canonical_gaps,
+    companion_positions,
+    gaps_of,
+    max_auto,
+    max_cross,
+    nested_floor_bound,
+    table_cross,
+)
 
 DOC7 = document_from_family(design_fixed(CodeParams(7, 3, 1, 1)))
 DOC13 = document_from_family(design_fixed(CodeParams(13, 4, 1, 1)))
@@ -453,3 +469,100 @@ def test_method_agreement_compares_every_code_and_pair(monkeypatch):
     assert detail.count("cross 9 by shifts, 1 by tables") == sum(
         k * (k - 1) // 2 for k in sizes
     )
+
+
+@st.composite
+def oracle_code(draw, n, w):
+    """Canonical differences of a weight-w code of length n that no shift
+    maps onto itself; at even n it may hold the distance n/2."""
+    fixed = {n // 2} if n % 2 == 0 and w > 2 and draw(st.booleans()) else set()
+    rest = draw(
+        st.sets(
+            st.integers(1, n - 1).filter(lambda p: p not in fixed),
+            min_size=w - 1 - len(fixed),
+            max_size=w - 1 - len(fixed),
+        )
+    )
+    dops = canonical_gaps(gaps_of({0, *fixed, *rest}, n))
+    assume(max_auto(companion_positions(dops[:-1]), n) < w)
+    return dops
+
+
+@st.composite
+def oracle_documents(draw):
+    """1-4 sets of 1-4 codes, n and w mixed across sets, one code possibly
+    repeated in a second set; every stored level comes from the oracles."""
+    groups = []  # (n, w, canonical differences of each member)
+    for _ in range(draw(st.integers(1, 4))):
+        if groups and draw(st.booleans()):
+            n, w, members = draw(st.sampled_from(groups))
+            dops = {draw(st.sampled_from(members))}
+        else:
+            n = draw(st.integers(5, 24))
+            w = draw(st.integers(2, min(6, n - 1)))
+            dops = set()
+        for _ in range(draw(st.integers(1 - len(dops), 4 - len(dops)))):
+            dops.add(draw(oracle_code(n, w)))
+        groups.append((n, w, sorted(dops)))
+    positions = [
+        [companion_positions(d[:-1]) for d in members] for _, _, members in groups
+    ]
+
+    def interset(a, b):
+        (na, _, _), (nb, _, _) = groups[a], groups[b]
+        return max(
+            max_cross(x, y, na) if na == nb else table_cross(x, na, y, nb)
+            for x in positions[a]
+            for y in positions[b]
+        )
+
+    family = {
+        (a, b): interset(a, b)
+        for a in range(len(groups))
+        for b in range(a + 1, len(groups))
+    }
+    sets = []
+    for k, (n, w, members) in enumerate(groups):
+        auto = max(max_auto(x, n) for x in positions[k])
+        pairs = [
+            max_cross(x, y, n)
+            for i, x in enumerate(positions[k])
+            for y in positions[k][i + 1 :]
+        ]
+        cross = max(pairs, default=0)
+        apart = [level - 1 for pair, level in family.items() if k in pair]
+        lambda_c = max([1, cross, *apart])
+        codes = tuple(
+            DocumentCode(d, x) for d, x in zip(members, positions[k])
+        )
+        bound = nested_floor_bound(n, w, max(auto, lambda_c))
+        sets.append(DocumentSet(n, w, auto, lambda_c, bound, auto, cross, codes))
+    return CodeSetDocument(
+        FORMAT_VERSION,
+        TOOL_NAME,
+        TOOL_VERSION,
+        {},
+        max(family.values(), default=0),
+        tuple(sets),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_documents(), st.data())
+def test_oracle_levels_verify_and_each_raised_level_fails_only_its_rule(doc, data):
+    # Holds the table route's padded row blocks and its set-pair reads to
+    # the shift definition, and to shared table entries across lengths.
+    assert failed_rules(doc) == set()
+    k = data.draw(st.integers(0, len(doc.sets) - 1))
+    for field, rule in (
+        ("verified_lambda_a", "stored-auto-correlation"),
+        ("verified_lambda_c", "stored-cross-correlation"),
+    ):
+        level = getattr(doc.sets[k], field)
+        raised = dataclasses.replace(doc.sets[k], **{field: level + 1})
+        sets = doc.sets[:k] + (raised,) + doc.sets[k + 1 :]
+        assert failed_rules(dataclasses.replace(doc, sets=sets)) == {rule}
+    raised = doc.family_interset_lambda + 1
+    assert failed_rules(
+        dataclasses.replace(doc, family_interset_lambda=raised)
+    ) == {"family-separation"}
