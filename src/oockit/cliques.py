@@ -23,14 +23,21 @@ start with its first batch is exactly the set of nodes of C joined to
 all the rest of C, so the two walks then hold the same working set, C
 less that set, and reach the same member set.
 
-The designer's graph build, clique walk and family selection share one
-int-bitset kernel.  Two codes' cross correlation exceeds k exactly when
-they share a (k+1)-point pattern of one-bits, that is, when a row of one
+One rule splits the table work: subset keys decide edges, and
+`correlation._row_overlaps` measures levels.  `build_graph` and
+`clique_set_matrix` ask one yes-or-no question per pair, at one
+threshold k.  Two codes' cross correlation exceeds k exactly when they
+share a (k+1)-point pattern of one-bits, that is, when a row of one
 table shares k entries with a row of the other: each k-entry subset of a
 row is the pattern anchored at the row's one-bit.  `_clashes` takes one
 group of hashable keys per code or candidate set, numbers the keys and
 keeps, per key, the bitset of the groups owning it: a group's clashing
-groups are the union of its keys' owners, a few ints.
+groups are the union of its keys' owners, a few ints.  A level has no
+one threshold, and keying every k up to it would take C(w - 1, k)
+subsets per row, so the guard's levels (`make_clique_set`), the
+family's (`select_family`) and verify's are read off the row bitsets of
+`_row_overlaps`: at most (w - 1)^2 int operations per table row,
+polynomial in w.
 
 One anchoring per pattern is enough when every group shares one length
 n.  Anchor a pattern at one of its points a: the gap after a is the
@@ -51,27 +58,22 @@ carries: the designer's codes get them from extension, which has just
 counted every distance, and any other code computes its own once.
 `clique_set_matrix` keys the rows of each candidate set's members and
 joins the sets that do not clash one entry above the stricter of their
-ceilings, and `select_family` reads the family level off the largest k
-at which two kept sets still clash.  A graph's adjacency is one int mask
-per node and nothing else: the walk scores a node with ``int.bit_count``,
-and the neighbor sets are only read off the masks on request.  A set
-member builds its table once and keeps it (`Dopr.table`); the key
-numbering lives for one call.
+ceilings.  A graph's adjacency is one int mask per node and nothing
+else: the walk scores a node with ``int.bit_count``, and the neighbor
+sets are only read off the masks on request.  A set member builds its
+table once and keeps it (`Dopr.table`); the key numbering lives for one
+call.
 
 The public correlation functions (`crosscorr_edop`,
-`interset_crosscorr`), set assembly (`make_clique_set`),
-`verify_maximality` and document verification keep their independent
-routes, which the tests hold the kernel to: shift counting, and the
-row bitsets of `correlation._row_overlaps`, which cost at most
-(w - 1)^2 int operations per table row, each on one bit per row of the
-call, so the worst case is polynomial in w.
+`interset_crosscorr`) and `verify_maximality` read the same row bitsets,
+and the tests hold the keys to them and to shift counting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, compress, repeat
+from itertools import accumulate, chain, combinations, compress, repeat
 from operator import or_
 
 from .codes import CodeParams, Dopr, PartialDopr
@@ -402,10 +404,6 @@ def _check_max_sets(max_sets) -> None:
             raise ValueError("max_sets must be positive when given")
 
 
-def _set_rows(clique: CliqueSet) -> list[tuple[int, ...]]:
-    return [row for c in clique.codes for row in c.table.rows]
-
-
 def clique_set_matrix(cliques) -> CodeGraph:
     """Separation graph of candidate sets, one node per set.
 
@@ -422,7 +420,7 @@ def clique_set_matrix(cliques) -> CodeGraph:
     """
     items = tuple(cliques)
     ceilings = [s.params.lambda_c for s in items]
-    rows = [_set_rows(s) for s in items]
+    rows = [[row for c in s.codes for row in c.table.rows] for s in items]
     n = _common_length(c for s in items for c in s.codes)
     clash = [0] * len(items)
     for c in set(ceilings):
@@ -446,12 +444,13 @@ def select_family(cliques, max_sets: int | None = None) -> Family:
 
     The degree-greedy walk over the separation graph (see
     `clique_set_matrix`) picks the family.  The chosen sets are sorted
-    canonically and the first ``max_sets`` kept.  The family level is one
-    more than the largest k at which two kept sets still share a k-entry
-    subset of their members' rows, their largest inter-set peak; fewer
-    than two kept sets record 0.  A set is read only through its
-    ``codes``, in canonical order, and its ``params``, so the designer
-    passes unverified candidates and guards the kept ones afterwards.
+    canonically and the first ``max_sets`` kept.  The family level is the
+    largest inter-set peak among the kept sets, read off one
+    `_row_overlaps` index of their members' tables as `verify_document`
+    reads family separation; fewer than two kept sets record 0.  A set is
+    read only through its ``codes``, in canonical order, and its
+    ``params``, so the designer passes unverified candidates and guards
+    the kept ones afterwards.
     """
     _check_max_sets(max_sets)
     graph = clique_set_matrix(cliques)
@@ -462,13 +461,12 @@ def select_family(cliques, max_sets: int | None = None) -> Family:
     kept = tuple(items[i] for i in chosen)
     if len(kept) < 2:
         return Family(kept, 0)
-    rows = [_set_rows(s) for s in kept]
-    n = _common_length(c for s in kept for c in s.codes)
-    shared = 0
-    # A group's own bit is always set, so m & (m - 1) marks a clash with
-    # another kept set.
-    while any(
-        m & (m - 1) for m in _clashes([_subset_keys(r, shared + 1, n) for r in rows])
-    ):
-        shared += 1
-    return Family(kept, 1 + shared)
+    overlaps = _row_overlaps([c.table for s in kept for c in s.codes])
+    ends = list(accumulate(len(s.codes) for s in kept))
+    # Each kept set against every later one: its tables' run of indexes
+    # against the run after it.
+    peak = max(
+        overlaps.peak(range(start, end), range(end, ends[-1]))
+        for start, end in zip([0, *ends], ends[:-1])
+    )
+    return Family(kept, 1 + peak)

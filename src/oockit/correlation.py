@@ -150,16 +150,16 @@ def _scan_rows(row_pairs) -> tuple[int, int]:
     return best, comparisons
 
 
-class _RowOverlaps(Mapping):
-    """Most entries two distinct rows share, for each pair of tables.
+class _RowOverlaps:
+    """Most entries two distinct rows share, read per pair of tables.
 
-    Keys are the table index pairs (i, j), i <= j, whose rows share an
-    entry; (i, i) compares the distinct rows of table i.  Any other pair
-    reads 0.  Table t's row j is bit t * W + j of a row bitset, W being the
-    largest weight, so the rows of a run of tables form one run of bits.
-    Table t keeps one bitset per level k, highest first: the rows sharing
-    at least k entries with some row of t.  A pair's count is the largest
-    k whose bitset meets the other table's rows.
+    Table t's row j is bit t * W + j of a row bitset, W being the largest
+    weight, so the rows of a run of tables form one run of bits.  Table t
+    keeps one bitset per level k, highest first: the rows sharing at least
+    k entries with some row of t.  A read is the largest k whose bitset
+    meets the other side's rows, so a pair reads the same either way round
+    and reads 0 when its rows share no entry; (i, i) compares the distinct
+    rows of table i.
     """
 
     __slots__ = ("_levels", "_width", "_block")
@@ -169,36 +169,22 @@ class _RowOverlaps(Mapping):
         self._width = width
         self._block = (1 << width) - 1  # the rows of table 0
 
-    def __getitem__(self, pair: tuple[int, int]) -> int:
-        i, j = pair
+    def _meets(self, i: int, rows: int, floor: int = 0) -> int:
+        """Highest level above ``floor`` at which table i meets the row
+        bitset ``rows``, or ``floor`` when there is none."""
         levels = self._levels[i]
-        rows = self._block << j * self._width
         k = len(levels)
         for bits in levels:
+            if k <= floor:
+                break
             if bits & rows:
                 return k
             k -= 1
-        return 0
+        return floor
 
-    def __contains__(self, pair) -> bool:
+    def __getitem__(self, pair: tuple[int, int]) -> int:
         i, j = pair
-        return 0 <= i <= j < len(self._levels) and self[i, j] > 0
-
-    def __iter__(self):
-        width = self._width
-        for i, levels in enumerate(self._levels):
-            # The lowest level holds every row sharing an entry with table i.
-            hit = levels[-1] >> i * width if levels else 0
-            j = i
-            while hit:
-                skip = ((hit & -hit).bit_length() - 1) // width
-                j += skip
-                yield i, j
-                hit >>= (skip + 1) * width
-                j += 1
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
+        return self._meets(i, self._block << j * self._width)
 
     def peak(self, a: range, b: range) -> int:
         """Most entries a row of a table in ``a`` shares with a row of a
@@ -207,15 +193,7 @@ class _RowOverlaps(Mapping):
         span = (1 << b.stop * width) - (1 << b.start * width)
         best = 0
         for i in a:
-            others = span & ~(self._block << i * width)
-            k = len(self._levels[i])
-            for bits in self._levels[i]:
-                if k <= best:
-                    break
-                if bits & others:
-                    best = k
-                    break
-                k -= 1
+            best = self._meets(i, span & ~(self._block << i * width), best)
         return best
 
 

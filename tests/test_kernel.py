@@ -1,11 +1,13 @@
-"""The designer's int-bitset kernel against the independent routes.
+"""The designer's int-bitset kernels against the independent routes.
 
-`build_graph`, `clique_set_matrix` and `select_family` judge codes and
-sets through one owner bitset per key, and `greedy_clique` and
-`enumerate_cliques` walk adjacency bitsets; here random inputs hold the
-graphs' edges and the family level to `crosscorr_edop`,
-`interset_crosscorr` and the plain-set oracles, which share no code with
-the kernel, and hold `CodeGraph`'s checks on its masks to the plain
+`build_graph` and `clique_set_matrix` decide edges through one owner
+bitset per key, `select_family` measures the family level on the row
+bitsets of `correlation._row_overlaps`, and `greedy_clique` and
+`enumerate_cliques` walk adjacency bitsets.  Here random inputs hold the
+graphs' edges to `crosscorr_edop`, `interset_crosscorr` and the
+plain-set oracles, which share no code with the keys, hold the family
+level to the oracles' `table_cross`, which shares no code with the row
+bitsets, and hold `CodeGraph`'s checks on its masks to the plain
 definition of a simple undirected graph.  Half the pools and lists of
 candidate sets share one length, even or odd, where the kernel keys only
 canonical anchorings; the other half mix lengths, where it keys every
@@ -38,7 +40,7 @@ from oockit import (
     select_family,
 )
 
-from oracles import greedy_walk, greedy_walks, max_cross
+from oracles import greedy_walk, greedy_walks, max_cross, table_cross
 
 
 @st.composite
@@ -132,7 +134,12 @@ def test_clique_set_matrix_matches_interset_crosscorr(sets):
 def test_family_level_is_the_largest_peak_among_kept_sets(sets, max_sets):
     family = select_family(sets, max_sets)
     assert family.interset_lambda == max(
-        (interset_crosscorr(a, b) for a, b in combinations(family.sets, 2)),
+        (
+            table_cross(positions(x), x.n, positions(y), y.n)
+            for a, b in combinations(family.sets, 2)
+            for x in a.codes
+            for y in b.codes
+        ),
         default=0,
     )
 
@@ -146,6 +153,21 @@ def singleton_sets(codes, lambda_c):
         CliqueSet((c,), CodeParams(c.n, c.weight, c.weight - 1, lambda_c), 0, 0, 0)
         for c in codes
     ]
+
+
+def test_family_level_of_wide_weights():
+    """Two copies of the weight-40 run of ones at n = 1000 share whole rows.
+
+    Reading this level through k-entry keys for each k up to 39 would take
+    about 2^39 subsets per row; the row bitsets take at most 39^2 int
+    operations per row.
+    """
+    positions_40 = tuple(range(40))
+    code = code_at(positions_40, 1000)
+    family = select_family(singleton_sets([code, code], 39))
+    assert len(family.sets) == 2
+    assert family.interset_lambda == max_cross(positions_40, positions_40, 1000)
+    assert family.interset_lambda == 40
 
 
 def test_a_distance_of_half_the_length_is_a_shared_key():
