@@ -34,10 +34,10 @@ group of hashable keys per code or candidate set, numbers the keys and
 keeps, per key, the bitset of the groups owning it: a group's clashing
 groups are the union of its keys' owners, a few ints.  A level has no
 one threshold, and keying every k up to it would take C(w - 1, k)
-subsets per row, so the guard's levels (`make_clique_set`), the
-family's (`select_family`) and verify's are read off the row bitsets of
-`_row_overlaps`: at most (w - 1)^2 int operations per table row,
-polynomial in w.
+subsets per row, so levels are read off the row bitsets of
+`_row_overlaps`, at most (w - 1)^2 int operations per table row: the
+guard's (`make_clique_set`) and verify's each off one index, the
+family's (`select_family`) through `correlation.interset_crosscorr`.
 
 One anchoring per pattern is enough when every group shares one length
 n.  Anchor a pattern at one of its points a: the gap after a is the
@@ -64,25 +64,24 @@ sets are only read off the masks on request.  A set member builds its
 table once and keeps it (`Dopr.table`); the key numbering lives for one
 call.
 
-The public correlation functions (`crosscorr_edop`,
-`interset_crosscorr`) and `verify_maximality` read the same row bitsets,
-and the tests hold the keys to them and to shift counting.
+`interset_crosscorr` is the one reader of cross levels between groups
+of codes: it serves `verify_maximality` too, and the tests hold the
+keys to it and to shift counting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, combinations, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from operator import or_
 
 from .codes import CodeParams, Dopr, PartialDopr
-from .correlation import _row_overlaps, crosscorr_edop, johnson_bound
+from .correlation import _row_overlaps, interset_crosscorr, johnson_bound
 from .edop import _anchored_rows, _check_integers
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
-# three names on this module, so they must stay importable from it.
-from .correlation import interset_crosscorr  # noqa: F401
+# two names on this module, so they must stay importable from it.
 from .edop import edop_full, edop_partial  # noqa: F401
 
 __all__ = [
@@ -318,8 +317,9 @@ def enumerate_cliques(graph: CodeGraph) -> tuple[tuple[int, ...], ...]:
 def verify_maximality(members, candidates, threshold: int) -> bool:
     """Whether no outside candidate is compatible with every member.
 
-    Membership is judged by the (dops, n) pair, so candidate pools of
-    canonical codes compare cleanly against canonical members.
+    One `interset_crosscorr` call per candidate reads it against the
+    members.  Membership is judged by the (dops, n) pair, so candidate
+    pools of canonical codes compare cleanly against canonical members.
     """
     member_list = list(getattr(members, "codes", members))
     if not member_list:
@@ -328,7 +328,7 @@ def verify_maximality(members, candidates, threshold: int) -> bool:
     for cand in candidates:
         if (cand.dops, cand.n) in keys:
             continue
-        if all(crosscorr_edop(cand, m).lambda_cxy <= threshold for m in member_list):
+        if interset_crosscorr([cand], member_list) <= threshold:
             return False
     return True
 
@@ -388,14 +388,6 @@ def make_clique_set(codes, params: CodeParams) -> CliqueSet:
     return CliqueSet(ordered, params, bound, lam_a, lam_c)
 
 
-def _clique_key(clique: CliqueSet):
-    return (
-        clique.params.n,
-        clique.params.w,
-        tuple(c.dops for c in clique.codes),
-    )
-
-
 def _check_max_sets(max_sets) -> None:
     """Refuse a ``max_sets`` that is given but not a positive integer."""
     if max_sets is not None:
@@ -444,11 +436,10 @@ def select_family(cliques, max_sets: int | None = None) -> Family:
 
     The degree-greedy walk over the separation graph (see
     `clique_set_matrix`) picks the family.  The chosen sets are sorted
-    canonically and the first ``max_sets`` kept.  The family level is the
-    largest inter-set peak among the kept sets, read off one
-    `_row_overlaps` index of their members' tables as `verify_document`
-    reads family separation; fewer than two kept sets record 0.  A set is
-    read only through its ``codes``, in canonical order, and its
+    canonically and the first ``max_sets`` kept.  The family level is
+    `interset_crosscorr` of the kept sets, the read `verify_document`
+    makes for family separation; fewer than two kept sets record 0.  A set
+    is read only through its ``codes``, in canonical order, and its
     ``params``, so the designer passes unverified candidates and guards
     the kept ones afterwards.
     """
@@ -456,17 +447,10 @@ def select_family(cliques, max_sets: int | None = None) -> Family:
     graph = clique_set_matrix(cliques)
     items = graph.nodes
     chosen = sorted(
-        greedy_clique(graph), key=lambda i: (_clique_key(items[i]), i)
+        greedy_clique(graph),
+        key=lambda i: (
+            items[i].params.n, items[i].params.w, [c.dops for c in items[i].codes], i
+        ),
     )[:max_sets]
     kept = tuple(items[i] for i in chosen)
-    if len(kept) < 2:
-        return Family(kept, 0)
-    overlaps = _row_overlaps([c.table for s in kept for c in s.codes])
-    ends = list(accumulate(len(s.codes) for s in kept))
-    # Each kept set against every later one: its tables' run of indexes
-    # against the run after it.
-    peak = max(
-        overlaps.peak(range(start, end), range(end, ends[-1]))
-        for start, end in zip([0, *ends], ends[:-1])
-    )
-    return Family(kept, 1 + peak)
+    return Family(kept, interset_crosscorr(*kept) if len(kept) > 1 else 0)

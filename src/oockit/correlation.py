@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from .codes import BinaryCode, Dopr, PartialDopr, Wpr, wpr_from_binary, wpr_from_dopr
 from .edop import EdopMatrix, _check_integers
@@ -319,14 +319,13 @@ def crosscorr_edop(
 
     One more than the largest entry overlap between any row of one table
     and any row of the other.  Entries are compared as plain integers, so
-    the codes may differ in length and weight.
+    the codes may differ in length and weight.  The default path reads
+    `interset_crosscorr([x], [y])`.
     """
-    mx = _as_matrix(x)
-    my = _as_matrix(y)
     if count_comparisons:
-        best, comparisons = _scan_rows(product(mx.rows, my.rows))
+        best, comparisons = _scan_rows(product(_as_matrix(x).rows, _as_matrix(y).rows))
         return CrossReport(1 + best, comparisons=comparisons)
-    return CrossReport(1 + _row_overlaps([mx, my])[0, 1])
+    return CrossReport(interset_crosscorr([x], [y]))
 
 
 def set_lambda_a(codes) -> int:
@@ -343,28 +342,34 @@ def set_lambda_a(codes) -> int:
 
 
 def set_lambda_c(codes) -> int:
-    """Largest pairwise cross correlation across a set of codes."""
+    """Largest pairwise cross correlation across a set of codes, read by
+    `interset_crosscorr` with each code as a set of its own."""
     codes = list(codes)
     if len(codes) < 2:
         raise ValueError("set cross correlation needs at least two codes")
-    every = range(len(codes))
-    return 1 + _row_overlaps([_as_matrix(c) for c in codes]).peak(every, every)
+    return interset_crosscorr(*([c] for c in codes))
 
 
-def interset_crosscorr(a, b) -> int:
-    """Largest cross correlation between members of two sets.
+def interset_crosscorr(*sets) -> int:
+    """Largest cross correlation between members of different sets.
 
-    Accepts any iterables of codes (or objects with a ``codes`` attribute,
-    such as clique sets).  Evaluating a set against itself includes the
-    identical pairs and therefore returns the code weight.
+    The one reader of cross levels between groups of codes.  Takes two or
+    more sets, each an iterable of codes or an object with a ``codes``
+    attribute, such as a clique set; one `_row_overlaps` index of their
+    tables reads each set's run against the runs after it.  A set against
+    itself meets its identical pairs and returns the code weight.
     """
-    a_codes = list(getattr(a, "codes", a))
-    b_codes = list(getattr(b, "codes", b))
-    if not a_codes or not b_codes:
+    if len(sets) < 2:
+        raise ValueError("inter-set correlation needs at least two sets")
+    groups = [list(getattr(s, "codes", s)) for s in sets]
+    if not all(groups):
         raise ValueError("inter-set correlation needs non-empty sets")
-    overlaps = _row_overlaps([_as_matrix(c) for c in a_codes + b_codes])
-    split, size = len(a_codes), len(a_codes) + len(b_codes)
-    return 1 + overlaps.peak(range(split), range(split, size))
+    overlaps = _row_overlaps([_as_matrix(c) for group in groups for c in group])
+    ends = list(accumulate(map(len, groups)))
+    return 1 + max(
+        overlaps.peak(range(start, end), range(end, ends[-1]))
+        for start, end in zip([0, *ends], ends[:-1])
+    )
 
 
 def johnson_bound(n: int, w: int, lam: int) -> int:

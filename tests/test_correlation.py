@@ -197,13 +197,20 @@ def test_row_overlaps_match_the_literal_scan_and_the_definition(codes, data):
             crosscorr_edop(x, y, count_comparisons=True).lambda_cxy
             for x, y in itertools.combinations(codes, 2)
         )
-    # Two sets drawn from the codes; they may share codes.
+    # Three sets drawn from the codes; they may share codes.  The literal
+    # scan reads every pair from different sets without the reader.
     members = st.lists(st.sampled_from(codes), min_size=1, max_size=len(codes))
-    a, b = data.draw(members), data.draw(members)
+    a, b, c = data.draw(members), data.draw(members), data.draw(members)
     assert interset_crosscorr(a, b) == max(
         crosscorr_edop(x, y, count_comparisons=True).lambda_cxy
         for x in a
         for y in b
+    )
+    assert interset_crosscorr(a, b, c) == max(
+        crosscorr_edop(x, y, count_comparisons=True).lambda_cxy
+        for first, second in itertools.combinations((a, b, c), 2)
+        for x in first
+        for y in second
     )
 
 
@@ -301,6 +308,8 @@ def test_interset_crosscorr_on_plain_iterables():
     assert interset_crosscorr(a, a) == 3
     with pytest.raises(ValueError):
         interset_crosscorr(a, [])
+    with pytest.raises(ValueError):
+        interset_crosscorr(a)
 
 
 def test_edop_route_accepts_prebuilt_matrices():

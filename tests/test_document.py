@@ -194,6 +194,17 @@ def test_reader_rejects_non_json():
         from_json("{not json")
 
 
+def test_reader_names_a_document_or_set_that_is_not_an_object():
+    with pytest.raises(DocumentError) as excinfo:
+        from_json("[]")
+    assert str(excinfo.value) == "document must be an object"
+    payload = payload_of(DOC7)
+    payload["sets"] = [3]
+    with pytest.raises(DocumentError) as excinfo:
+        doc_from_payload(payload)
+    assert str(excinfo.value) == "sets[0] must be an object"
+
+
 def test_verification_rule_names_are_frozen():
     report = verify_document(DOC13)
     assert tuple(c.rule for c in report.checks) == RULES
@@ -300,6 +311,24 @@ def test_tamper_set_size_bound():
     payload = payload_of(DOC13)
     payload["sets"][0]["bound"] = 2
     assert failed_rules(doc_from_payload(payload)) == {"set-size-bound"}
+
+
+def test_set_size_bound_counts_the_codes_against_a_right_bound():
+    # Two (7,3) codes under lambda 1, whose Johnson bound is 1: the stored
+    # bound is right, so the rule fails on the set's size.
+    payload = payload_of(DOC7)
+    payload["sets"][0].update(
+        bound=1,
+        verified_lambda_a=1,
+        verified_lambda_c=2,
+        codes=[
+            {"dopr": [1, 2, 4], "wpr": [0, 1, 3]},
+            {"dopr": [2, 1, 4], "wpr": [0, 2, 3]},
+        ],
+    )
+    report = verify_document(doc_from_payload(payload))
+    detail = {c.rule: c.detail for c in report.failures()}
+    assert detail["set-size-bound"] == "set 0: 2 codes exceed the bound 1"
 
 
 def test_set_size_bound_skips_structurally_bad_sets():

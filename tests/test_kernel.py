@@ -1,14 +1,15 @@
 """The designer's int-bitset kernels against the independent routes.
 
 `build_graph` and `clique_set_matrix` decide edges through one owner
-bitset per key, `select_family` measures the family level on the row
-bitsets of `correlation._row_overlaps`, and `greedy_clique` and
-`enumerate_cliques` walk adjacency bitsets.  Here random inputs hold the
-graphs' edges to `crosscorr_edop`, `interset_crosscorr` and the
-plain-set oracles, which share no code with the keys, hold the family
-level to the oracles' `table_cross`, which shares no code with the row
-bitsets, and hold `CodeGraph`'s checks on its masks to the plain
-definition of a simple undirected graph.  Half the pools and lists of
+bitset per key, `select_family` reads the family level through
+`interset_crosscorr`, on the row bitsets of `correlation._row_overlaps`,
+and `greedy_clique` and `enumerate_cliques` walk adjacency bitsets.
+Here random inputs hold the graphs' edges to `crosscorr_edop`,
+`interset_crosscorr` and the plain-set oracles, which share no code with
+the keys, hold the family level to the oracles' `table_cross`, which
+shares no code with the row bitsets or with that reader, and hold
+`CodeGraph`'s checks on its masks to the plain definition of a simple
+undirected graph.  Half the pools and lists of
 candidate sets share one length, even or odd, where the kernel keys only
 canonical anchorings; the other half mix lengths, where it keys every
 subset.  Candidate sets mix weights and cross ceilings, so each pair is
