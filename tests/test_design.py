@@ -12,6 +12,7 @@ from oockit import (
     DesignConfig,
     Dopr,
     PartialDopr,
+    StandardDopr,
     Wpr,
     build_graph,
     design_fixed,
@@ -218,6 +219,128 @@ def test_extension_refuses_complete_codes():
         extend_clique_codes([PartialDopr((1, 3, 2), 13, 4)], P13)
 
 
+@st.composite
+def small_params(draw):
+    """A tuple with w 3..5, n up to 31 and each ceiling 1 or 2, unequal allowed."""
+    w = draw(st.integers(3, 5))
+    return CodeParams(
+        draw(st.integers(w + 1, 31)),
+        w,
+        draw(st.sampled_from((1, 2))),
+        draw(st.sampled_from((1, 2))),
+    )
+
+
+def assert_checked(children, closed):
+    """Each pool code equals its checked construction, with plain int fields.
+
+    Extension's children equal `PartialDopr` of their fields, and each
+    closed code equals `StandardDopr` of its own, carrying the folded
+    distances its differences give, counted with multiplicity.
+    """
+    for g in children:
+        assert g == PartialDopr(g.dops, g.n, g.w)
+        assert all(type(x) is int for x in (g.n, g.w, *g.dops))
+    for c in closed:
+        assert c == StandardDopr(c.dops, c.n)
+        assert type(c) is StandardDopr
+        assert all(type(x) is int for x in (c.n, *c.dops))
+        assert sorted(c._folded) == sorted(_folded_distances(c.dops, c.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(extension_parents())
+def test_extension_builds_its_checked_construction(case):
+    params, parents = case
+    n, w = params.n, params.w
+    grown = extend_clique_codes([PartialDopr(d, n, w) for d in parents], params)
+    short = [g for g in grown if g.u < w - 1]
+    closing = [g for g in grown if g.u == w - 1]
+    assert_checked(grown, oockit.design._close_pool(closing, params))
+    assert_checked(extend_clique_codes(short[:3], params), ())
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_params())
+def test_designer_pools_equal_their_checked_construction(params):
+    """Every pool code of a design, opening pairs to closed codes, λ up to 2."""
+    built = []
+
+    def extended(codes, p):
+        out = extend(codes, p)
+        built.append((out, ()))
+        return out
+
+    def closed(pool, p):
+        out = close(pool, p)
+        built.append((pool, out))
+        return out
+
+    extend, close = oockit.design.extend_clique_codes, oockit.design._close_pool
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oockit.design, "extend_clique_codes", extended)
+        mp.setattr(oockit.design, "_close_pool", closed)
+        design_fixed(params, max_sets=2)
+    assert_checked(enumerate_first_pairs(params), ())
+    for children, complete in built:
+        assert_checked(children, complete)
+
+
+@pytest.mark.parametrize(
+    "params, max_sets, graphs, children, closing",
+    [
+        (
+            CodeParams(49, 4, 1, 1),
+            None,
+            [(484, 75120), (112, 979), (113, 1006)],
+            [112, 113],
+            [(112, 112), (113, 113)],
+        ),
+        (
+            CodeParams(61, 5, 1, 1),
+            2,
+            [(732, 189488), (194, 4914), (197, 5010), (43, 3), (43, 9)],
+            [194, 197, 43, 43],
+            [(43, 43), (43, 43)],
+        ),
+    ],
+)
+def test_design_stage_counts(monkeypatch, params, max_sets, graphs, children, closing):
+    """Exact work per stage: a dropped or repeated pool code fails on a count.
+
+    Graphs give (nodes, edges), children count each `extend_clique_codes`
+    call of `design_fixed` and closing gives codes in and out of
+    `_close_pool`.
+    """
+    seen_graphs, seen_children, seen_closing = [], [], []
+
+    def graphed(pool, threshold):
+        graph = build(pool, threshold)
+        edges = sum(m.bit_count() for m in graph.masks) // 2
+        seen_graphs.append((len(graph.nodes), edges))
+        return graph
+
+    def extended(codes, p):
+        out = extend(codes, p)
+        seen_children.append(len(out))
+        return out
+
+    def closed(pool, p):
+        out = close(pool, p)
+        seen_closing.append((len(pool), len(out)))
+        return out
+
+    build = oockit.design.build_graph
+    extend, close = oockit.design.extend_clique_codes, oockit.design._close_pool
+    monkeypatch.setattr(oockit.design, "build_graph", graphed)
+    monkeypatch.setattr(oockit.design, "extend_clique_codes", extended)
+    monkeypatch.setattr(oockit.design, "_close_pool", closed)
+    design_fixed(params, max_sets)
+    assert seen_graphs == graphs
+    assert seen_children == children
+    assert seen_closing == closing
+
+
 def test_fixed_design_smallest_case():
     family = design_fixed(P7)
     assert [[c.dops for c in s.codes] for s in family.sets] == [
@@ -419,18 +542,6 @@ def test_dedup_by_class_feeds_the_final_stage():
     for s in family.sets:
         for code in s.codes:
             assert code.dops in pool_keys
-
-
-@st.composite
-def small_params(draw):
-    """A tuple with w 3..5, n up to 31 and each ceiling 1 or 2, unequal allowed."""
-    w = draw(st.integers(3, 5))
-    return CodeParams(
-        draw(st.integers(w + 1, 31)),
-        w,
-        draw(st.sampled_from((1, 2))),
-        draw(st.sampled_from((1, 2))),
-    )
 
 
 @settings(max_examples=40, deadline=None)
