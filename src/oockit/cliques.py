@@ -29,15 +29,15 @@ One rule splits the table work: subset keys decide edges, and
 threshold k.  Two codes' cross correlation exceeds k exactly when they
 share a (k+1)-point pattern of one-bits, that is, when a row of one
 table shares k entries with a row of the other: each k-entry subset of a
-row is the pattern anchored at the row's one-bit.  `_clashes` takes one
-group of hashable keys per code or candidate set, numbers the keys and
-keeps, per key, the bitset of the groups owning it: a group's clashing
-groups are the union of its keys' owners, a few ints.  A level has no
-one threshold, and keying every k up to it would take C(w - 1, k)
-subsets per row, so levels are read off the row bitsets of
-`_row_overlaps`, at most (w - 1)^2 int operations per table row: the
-guard's (`make_clique_set`) and verify's each off one index, the
-family's (`select_family`) through `correlation.interset_crosscorr`.
+row is the pattern anchored at the row's one-bit.  `_clashes` ORs each
+group's bit (a list of hashable keys per code or candidate set) into a
+dict from key to its owners' bitset: a group's clashing groups are the
+union of its keys' owners, a few ints.  A level has no one threshold,
+and keying every k up to it would take C(w - 1, k) subsets per row, so
+levels are read off the row bitsets of `_row_overlaps`, at most
+(w - 1)^2 int operations per table row: the guard's (`make_clique_set`)
+and verify's each off one index, the family's (`select_family`) through
+`correlation.interset_crosscorr`.
 
 One anchoring per pattern is enough when every group shares one length
 n.  Anchor a pattern at one of its points a: the gap after a is the
@@ -61,7 +61,7 @@ joins the sets that do not clash one entry above the stricter of their
 ceilings.  A graph's adjacency is one int mask per node and nothing
 else: the walk scores a node with ``int.bit_count``, and the neighbor
 sets are only read off the masks on request.  A set member builds its
-table once and keeps it (`Dopr.table`); the key numbering lives for one
+table once and keeps it (`Dopr.table`); the owner bitsets live for one
 call.
 
 `interset_crosscorr` is the one reader of cross levels between groups
@@ -78,7 +78,7 @@ from operator import or_
 
 from .codes import CodeParams, Dopr, PartialDopr
 from .correlation import _row_overlaps, interset_crosscorr, johnson_bound
-from .edop import _anchored_rows, _check_integers
+from .edop import _anchored_rows, _check_integers, _settled
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
 # two names on this module, so they must stay importable from it.
@@ -148,19 +148,19 @@ def _members(mask: int, size: int):
 def _clashes(key_groups) -> list[int]:
     """Per group of keys, the bitset of groups sharing a key.
 
-    A group's own bit is always included.  Each key, numbered as first
-    seen, keeps the bitset of the groups that own it, so a group's
-    clashes are the union of its keys' owners.
+    A group's own bit is always included.  One pass ORs each group's bit
+    into its keys' owner bitsets, so each group is read twice and must be
+    a sequence, not a one-shot iterator.
     """
-    bits: dict = {}
-    owned = [{bits.setdefault(key, len(bits)) for key in keys} for keys in key_groups]
-    owners = [0] * len(bits)
-    for i, numbered in enumerate(owned):
-        for b in numbered:
-            owners[b] |= 1 << i
+    owners: dict = {}
+    get = owners.get
+    for i, keys in enumerate(key_groups):
+        bit = 1 << i
+        for key in keys:
+            owners[key] = get(key, 0) | bit
     return [
-        reduce(or_, map(owners.__getitem__, numbered), 1 << i)
-        for i, numbered in enumerate(owned)
+        reduce(or_, map(owners.__getitem__, keys), 1 << i)
+        for i, keys in enumerate(key_groups)
     ]
 
 
@@ -168,13 +168,11 @@ def _clash_complement(nodes: tuple, clashes) -> CodeGraph:
     """Graph joining each node to every node it does not clash with.
 
     Each clash bitset holds its own node's bit and clashes are mutual, so
-    the masks are loop-free and symmetric, and the graph skips
-    `CodeGraph.__post_init__`.
+    the masks are loop-free and symmetric: the graph is `_settled`.
     """
     everyone = (1 << len(nodes)) - 1
-    graph = object.__new__(CodeGraph)
-    vars(graph).update(nodes=nodes, masks=tuple(everyone & ~m for m in clashes))
-    return graph
+    masks = tuple(everyone & ~m for m in clashes)
+    return _settled(CodeGraph, nodes=nodes, masks=masks)
 
 
 def _common_length(codes) -> int | None:
@@ -184,14 +182,14 @@ def _common_length(codes) -> int | None:
 
 
 def _subset_keys(rows, k: int, n: int | None):
-    """The keys of the k-entry subsets of table ``rows``.
+    """The keys of the k-entry subsets of table ``rows``, as a list.
 
     With a common length ``n``, only a subset whose first and last entries
     sum to at most n is kept, its pattern's canonical anchorings (see the
     module docstring); with ``n`` None every subset is kept.
     """
     subsets = chain.from_iterable(map(combinations, rows, repeat(k)))
-    return subsets if n is None else [s for s in subsets if s[0] + s[-1] <= n]
+    return list(subsets) if n is None else [s for s in subsets if s[0] + s[-1] <= n]
 
 
 def _code_keys(code, k: int, n: int | None):

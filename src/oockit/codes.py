@@ -176,7 +176,10 @@ def _standard_rotation(dops: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class StandardDopr(Dopr):
-    """A Dopr pinned to its canonical rotation; construction re-checks it."""
+    """A Dopr pinned to its canonical rotation; construction re-checks it.
+
+    The designer's closed codes skip it, made canonical by `design._close_pool`.
+    """
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -189,7 +192,8 @@ class PartialDopr:
     """Leading u < w differences of a weight-w code under construction.
 
     The unspent length n - sum(dops) must still fit the remaining w - u
-    differences, each at least 1.
+    differences, each at least 1; `design.extend_clique_codes` admits each
+    difference of the designer's prefixes only inside that room.
     """
 
     dops: tuple[int, ...]

@@ -7,7 +7,8 @@ single free position remains, the length forces the closing difference,
 and the cliques of the last graph, on complete canonical codes, compete
 for membership in the emitted family.  No graph node builds a difference
 table; only the members of candidate sets do, for family selection and
-the guard.
+the guard.  Pool codes skip their constructors' checks: extension and
+`_close_pool` meet each rule where they make the value.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .codes import (
     _standard_rotation,
     max_difference_at,
 )
+from .edop import _settled
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
 # five names on this module, so they must stay importable from it.
@@ -77,8 +79,10 @@ def enumerate_first_pairs(params: CodeParams) -> tuple[PartialDopr, ...]:
     if params.w < 3:
         raise ValueError("opening pairs need weight at least 3")
     n, w = params.n, params.w
-    cap = max_difference_at(n, w, 1)
-    return _extend([PartialDopr((d,), n, w) for d in range(1, cap + 1)], params)
+    # Each d <= max_difference_at < n / 2 leaves room and is its own fold.
+    ones = [(d,) for d in range(1, max_difference_at(n, w, 1) + 1)]
+    singles = [_settled(PartialDopr, dops=d, n=n, w=w, _folded=d) for d in ones]
+    return _extend(singles, params)
 
 
 def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
@@ -101,21 +105,23 @@ def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
     `PartialDopr`.  One-difference codes extend into pairs of distinct
     differences, as `enumerate_first_pairs` needs.
 
-    Each child carries its closed companion's folded distances, its
-    parent's plus min(x - p, n - x + p) for each p, for `build_graph`.
-    Parents of one length in strictly increasing ``dops`` order yield
-    children in strictly increasing ``dops`` order, as a child's tuple
-    starts with its parent's.  The opening singletons come in that order,
-    and `design_fixed` extends each clique's members in pool order, so
-    every pool it builds is sorted without a sort.
+    Each child is made by construction (`edop._settled`), meeting each
+    `PartialDopr` rule: a parent not at the (n, w) of ``params`` is refused,
+    and d = x - total lies in [1, cap], cap <= `max_difference_at` <= n - 1
+    and total + cap <= n - (w - u - 1).  It carries its closed companion's
+    folded distances, its parent's plus min(x - p, n - x + p) for each p.
+    A repeated parent is extended once, and parents of one length in
+    strictly increasing ``dops`` order yield children in that order, as a
+    child's tuple starts with its parent's.  The opening singletons come
+    in that order, and `design_fixed` extends each clique's members in
+    pool order, so every pool it builds is sorted without a sort.
     """
     n, w, lam = params.n, params.w, params.lambda_a
     out: list[PartialDopr] = []
-    seen: set[tuple[int, ...]] = set()
-    for code in codes:
+    for code in dict.fromkeys(codes):
         u = code.u
-        if u + 1 >= w:
-            raise ValueError("cannot extend past the last free position")
+        if u + 1 >= w or (code.n, code.w) != (n, w):
+            raise ValueError(f"cannot extend {code!r} at n={n}, w={w}")
         # How often each cyclic distance occurs between the closed companion's
         # one-bits; the largest count is the companion's self correlation.
         pos = list(accumulate(code.dops, initial=0))
@@ -149,13 +155,10 @@ def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
             x = (admitted & -admitted).bit_length() - 1
             admitted &= admitted - 1
             dops = code.dops + (x - total,)
-            if dops not in seen:
-                seen.add(dops)
-                child = PartialDopr(dops, n, w)
-                vars(child)["_folded"] = folded + tuple(
-                    [x - p if 2 * (x - p) <= n else n - x + p for p in pos]
-                )
-                out.append(child)
+            added = tuple([x - p if 2 * (x - p) <= n else n - x + p for p in pos])
+            out.append(
+                _settled(PartialDopr, dops=dops, n=n, w=w, _folded=folded + added)
+            )
     return tuple(out)
 
 
@@ -175,13 +178,13 @@ def _capped(cliques, max_sets: int | None):
 def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
     """Complete codes of a pool one difference short, one per rotation class.
 
-    Each member is closed with the difference the length forces and its
-    tuple put in canonical rotation; the first code of each class in pool
-    order is kept, and only kept codes are built (with every check).
-    Each takes its member's carried folded distances, which rotation
-    keeps, for the last graph.  The members already meet the
-    self-correlation ceiling, because extension judged each one's closed
-    companion, which at u = w-1 is the complete code.
+    Each member is closed with the difference the length forces, at least
+    1 as extension left room, and put in canonical rotation; the first
+    code of each class in pool order is made by construction
+    (`edop._settled`) with its member's folded distances, which rotation
+    keeps.  The members already meet the self-correlation ceiling, because
+    extension judged each one's closed companion, which at u = w-1 is the
+    complete code.
 
     The positional ranges prune most rotational duplicates from a pool but
     not all of them.  Duplicates are poison for the degree-greedy walk:
@@ -193,16 +196,12 @@ def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
     other emitted sets extendable by the discarded class.
     """
     n = params.n
-    closed: list[StandardDopr] = []
-    seen: set[tuple[int, ...]] = set()
-    for member in pool:
-        dops = _standard_rotation(member.dops + (n - sum(member.dops),))
-        if dops not in seen:
-            seen.add(dops)
-            code = StandardDopr(dops, n)
-            vars(code)["_folded"] = member._folded
-            closed.append(code)
-    return tuple(closed)
+    closed: dict[tuple[int, ...], StandardDopr] = {}
+    for code in pool:
+        dops = _standard_rotation(code.dops + (n - sum(code.dops),))
+        if dops not in closed:
+            closed[dops] = _settled(StandardDopr, dops=dops, n=n, _folded=code._folded)
+    return tuple(closed.values())
 
 
 def design_fixed(params: CodeParams, max_sets: int | None = None) -> Family:

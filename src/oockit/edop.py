@@ -99,6 +99,8 @@ class ZeroAugmentedEdop:
 
 
 def _anchored_rows(dops: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # At least two positive differences summing to n, as every code's maker
+    # checks, give strictly increasing rows in [1, n-1]: a valid table.
     w = len(dops)
     doubled = dops + dops
     return tuple(tuple(accumulate(doubled[j : j + w - 1])) for j in range(w))
@@ -118,22 +120,19 @@ def _folded_distances(dops: tuple[int, ...], n: int) -> list[int]:
     ]
 
 
-def _checked_table(dops: tuple[int, ...], n: int) -> EdopMatrix:
-    """Table of differences a code's constructor already checked.
-
-    At least two positive differences summing to n give strictly increasing
-    rows in [1, n-1], so the table skips `EdopMatrix.__post_init__`.
-    """
-    table = object.__new__(EdopMatrix)
-    vars(table).update(rows=_anchored_rows(dops), n=n)
-    return table
+def _settled(cls, **fields):
+    """A frozen ``cls`` holding ``fields``, made by construction: its maker
+    has met every rule ``__post_init__`` checks, so that does not run."""
+    made = object.__new__(cls)
+    vars(made).update(fields)
+    return made
 
 
 def edop_full(dopr: Dopr) -> EdopMatrix:
     """Complete table of a weight >= 2 code."""
     if dopr.weight < 2:
         raise ValueError("difference tables need weight >= 2")
-    return _checked_table(dopr.dops, dopr.n)
+    return _settled(EdopMatrix, rows=_anchored_rows(dopr.dops), n=dopr.n)
 
 
 def edop_partial(partial: PartialDopr) -> EdopMatrix:
@@ -142,8 +141,8 @@ def edop_partial(partial: PartialDopr) -> EdopMatrix:
     The u known differences plus the wrap-around remainder n - sum form a
     weight-(u+1) code whose full table this is: (u+1) rows of u entries.
     """
-    closing = partial.n - sum(partial.dops)
-    return _checked_table(partial.dops + (closing,), partial.n)
+    closed = partial.dops + (partial.n - sum(partial.dops),)
+    return _settled(EdopMatrix, rows=_anchored_rows(closed), n=partial.n)
 
 
 def zero_augment(matrix: EdopMatrix) -> ZeroAugmentedEdop:

@@ -219,6 +219,17 @@ def test_extension_refuses_complete_codes():
         extend_clique_codes([PartialDopr((1, 3, 2), 13, 4)], P13)
 
 
+@pytest.mark.parametrize(
+    "parent", [PartialDopr((2, 9), 13, 4), PartialDopr((1, 5), 25, 5)]
+)
+def test_extension_refuses_a_parent_of_other_parameters(parent):
+    """A parent at another n or w would give children judged at the wrong
+    length or weight, carrying folded distances of another length."""
+    params = CodeParams(25, 4, 1, 1)
+    with pytest.raises(ValueError, match=r"cannot extend PartialDopr.* at n=25, w=4"):
+        extend_clique_codes([parent, PartialDopr((1, 5), 25, 4)], params)
+
+
 @st.composite
 def small_params(draw):
     """A tuple with w 3..5, n up to 31 and each ceiling 1 or 2, unequal allowed."""
