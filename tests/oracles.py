@@ -221,3 +221,98 @@ def extend_prefixes(prefixes, n, w, lambda_a):
             if shift_peak(companion_positions(cand), n) <= lambda_a:
                 out.setdefault(cand)
     return list(out)
+
+
+def reference_design(tuples, max_sets=None):
+    """The paper's staged designer, from the definitions above.
+
+    ``tuples`` lists (n, w, lambda_a, lambda_c) tuples.  One tuple is
+    designed alone; for several, each distinct tuple is designed in
+    first-seen order and one family is selected again over all their sets.
+    Returns the emitted sets, each as (tuple, member differences, bound,
+    self level, in-set cross level), and the family level.
+    """
+    families = [_design_tuple(t, max_sets) for t in dict.fromkeys(tuples)]
+    if len(tuples) == 1:
+        return families[0]
+    return _select([s[:2] for sets, _ in families for s in sets], max_sets)
+
+
+def _design_tuple(params, max_sets):
+    """Grow codes stage by stage, then select a family of the last cliques.
+
+    Pools are processed first in, first out.  A stage joins two codes when
+    their closed companions' ``table_cross`` is at most lambda_c, walks
+    ``greedy_walks``, keeps the largest ``max_sets`` walks (earliest first
+    on ties, in found order) and extends each walk's members in ascending
+    order.  The last stage closes each code, keeps the first of each
+    rotation class, and keys each candidate by its sorted members.
+    """
+    n, w, lambda_a, lambda_c = params
+    singles = [(d,) for d in range(1, (n - w + 1) // 2 + 1)]
+    pools = [extend_prefixes(singles, n, w, lambda_a)]
+    candidates = {}
+    for pool in pools:  # the loop reaches the pools appended below
+        if not pool:
+            continue
+        final = len(pool[0]) == w - 1
+        if final:
+            pool = list(dict.fromkeys(canonical_gaps(c + (n - sum(c),)) for c in pool))
+        ones = [companion_positions(c[:-1] if final else c) for c in pool]
+        adjacency = {i: set() for i in range(len(pool))}
+        for i, j in combinations(range(len(pool)), 2):
+            if table_cross(ones[i], n, ones[j], n) <= lambda_c:
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+        walks = greedy_walks(adjacency)
+        if max_sets is not None and len(walks) > max_sets:
+            ranked = sorted(range(len(walks)), key=lambda i: (-len(walks[i]), i))
+            walks = [walks[i] for i in sorted(ranked[:max_sets])]
+        for walk in walks:
+            members = sorted(pool[i] for i in walk)
+            if final:
+                candidates.setdefault(tuple(members))
+            else:
+                pools.append(extend_prefixes(members, n, w, lambda_a))
+    return _select([(params, members) for members in candidates], max_sets)
+
+
+def _select(sets, max_sets):
+    """One greedy walk over the sets' separation graph, sorted and capped.
+
+    Two (tuple, members) sets are joined when their largest cross-set
+    ``table_cross`` is at most the smaller of their lambda_c plus one.
+    """
+
+    def cross(a, b):
+        (an, *_), (bn, *_) = a[0], b[0]
+        ones = [companion_positions(x[:-1]) for x in a[1]]
+        return max(
+            table_cross(p, an, companion_positions(y[:-1]), bn)
+            for p in ones
+            for y in b[1]
+        )
+
+    adjacency = {i: set() for i in range(len(sets))}
+    for i, j in combinations(range(len(sets)), 2):
+        if cross(sets[i], sets[j]) <= min(sets[i][0][3], sets[j][0][3]) + 1:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    chosen = sorted(
+        greedy_walk(adjacency), key=lambda i: (*sets[i][0][:2], sets[i][1], i)
+    )[:max_sets]
+    kept = [sets[i] for i in chosen]
+    level = max((cross(a, b) for a, b in combinations(kept, 2)), default=0)
+    return [_emitted(*s) for s in kept], level
+
+
+def _emitted(params, members):
+    """A set as emitted: its bound and its verified self and cross levels."""
+    n, w, lambda_a, lambda_c = params
+    ones = [companion_positions(m[:-1]) for m in members]
+    self_level = max(shift_peak(p, n) for p in ones)
+    cross_level = max(
+        (table_cross(p, n, q, n) for p, q in combinations(ones, 2)), default=0
+    )
+    bound = nested_floor_bound(n, w, max(lambda_a, lambda_c))
+    return params, members, bound, self_level, cross_level

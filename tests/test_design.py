@@ -42,6 +42,7 @@ from oracles import (
     extend_prefixes,
     max_auto,
     max_cross,
+    reference_design,
     unit_auto_classes,
 )
 
@@ -553,6 +554,40 @@ def test_dedup_by_class_feeds_the_final_stage():
     for s in family.sets:
         for code in s.codes:
             assert code.dops in pool_keys
+
+
+@st.composite
+def reference_tuples(draw):
+    """(n, w, lambda_a, lambda_c) with w 3..5, n up to 19 (16 at w = 5)."""
+    w = draw(st.integers(3, 5))
+    n = draw(st.integers(w + 1, 16 if w == 5 else 19))
+    return (n, w, *draw(st.sampled_from(((1, 1), (2, 2), (1, 2), (2, 1)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(reference_tuples(), min_size=1, max_size=2),
+    st.sampled_from((None, 1, 2, 3)),
+)
+def test_designer_matches_the_reference_designer(tuples, max_sets):
+    """Every emitted set and the family level, against `reference_design`:
+    `design_fixed` for one tuple, `design_multi` for two."""
+    params = [CodeParams(*t) for t in tuples]
+    if len(params) == 1:
+        family = design_fixed(params[0], max_sets)
+    else:
+        family = design_multi(DesignConfig(params, max_sets))
+    emitted = [
+        (
+            (s.params.n, s.params.w, s.params.lambda_a, s.params.lambda_c),
+            tuple(c.dops for c in s.codes),
+            s.bound,
+            s.verified_lambda_a,
+            s.verified_lambda_c,
+        )
+        for s in family.sets
+    ]
+    assert (emitted, family.interset_lambda) == reference_design(tuples, max_sets)
 
 
 @settings(max_examples=40, deadline=None)

@@ -27,8 +27,10 @@ from oockit import (
     CliqueSet,
     CodeGraph,
     CodeParams,
+    Dopr,
     PartialDopr,
     Wpr,
+    autocorr_edop,
     build_graph,
     clique_set_matrix,
     crosscorr_edop,
@@ -59,6 +61,21 @@ def pool_codes(draw, n=None):
     code = draw(complete_codes(n, w))
     u = draw(st.integers(1, w))
     return code if u == w else PartialDopr(code.dops[:u], n, w)
+
+
+@st.composite
+def partial_codes(draw):
+    """A partial code cut from a complete one, drawn as `pool_codes` draws
+    it but with u in 1..w-1."""
+    n = draw(st.integers(7, 31))
+    w = draw(st.integers(3, min(6, n - 1)))
+    code = draw(complete_codes(n, w))
+    return PartialDopr(code.dops[: draw(st.integers(1, w - 1))], n, w)
+
+
+def companion(code):
+    """A partial code's closed companion, built here from its fields."""
+    return Dopr(code.dops + (code.n - sum(code.dops),), code.n)
 
 
 @st.composite
@@ -101,6 +118,24 @@ def test_build_graph_edges_match_both_reference_routes(pool, threshold):
                 assert joined == (
                     max_cross(positions(a), positions(b), a.n) <= threshold
                 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(partial_codes())
+def test_a_partial_code_reads_as_its_closed_companion(code):
+    """Its table under every name, its folded distances and its self level."""
+    closed = companion(code)
+    assert code.table.rows == edop_partial(code).rows == closed.table.rows
+    assert sorted(code._folded) == sorted(closed._folded)
+    assert autocorr_edop(code).lambda_ax == autocorr_edop(closed).lambda_ax
+
+
+@settings(max_examples=60, deadline=None)
+@given(lists_of(pool_codes, 14))
+def test_build_graph_reads_a_partial_code_as_its_closed_companion(pool):
+    closed = [companion(c) if isinstance(c, PartialDopr) else c for c in pool]
+    for k in (1, 2, 3):
+        assert build_graph(pool, k).masks == build_graph(closed, k).masks
 
 
 @st.composite

@@ -3,11 +3,13 @@
 ``perfbench/tracing.py`` times and counts layers by replacing module
 attributes such as ``oockit.design.build_graph``.  A name dropped from a
 module (an import that looks unused, say) would only fail a traced
-benchmark run; this test fails first.
+benchmark run; this test fails first.  The reverse holds too: an import
+a module keeps only for the tracer is one the tracer still swaps.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import sys
 from collections import Counter
@@ -16,7 +18,8 @@ from pathlib import Path
 import oockit.cli  # noqa: F401  (the benchmark imports it too; oockit does not)
 from oockit import CodeParams, build_graph, enumerate_first_pairs
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -35,6 +38,26 @@ def test_every_traced_name_exists_after_import():
     ]
     assert tracing.SPANS and tracing.COUNTERS
     assert missing == []
+
+
+def test_every_tracer_only_import_is_swapped():
+    """Each name a library module imports on a ``# noqa: F401`` line is one
+    the tracer swaps on that module; one it no longer swaps can be deleted."""
+    tracing = load_tracing()
+    swapped = {f"{mod}.{attr}" for mod, attr, *_ in tracing.SPANS + tracing.COUNTERS}
+    kept = []
+    for path in sorted((ROOT / "src" / "oockit").glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            marked = isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "# noqa: F401" in line
+                for line in lines[node.lineno - 1 : node.end_lineno]
+            )
+            if marked:
+                kept += [f"oockit.{path.stem}.{a.asname or a.name}" for a in node.names]
+    assert kept
+    assert [name for name in kept if name not in swapped] == []
 
 
 def test_graph_counts_read_the_graph_the_designer_builds():
