@@ -193,19 +193,17 @@ def _subset_keys(rows, k: int, n: int | None):
 
 
 def _code_keys(code, k: int, n: int | None):
-    """The keys of a complete code, or of a partial code's closed companion.
+    """The keys of a code's closed tuple (a partial code's companion's).
 
     At k = 1 with a common length the keys are the folded distances the
-    code carries, set by extension for the designer's codes and otherwise
-    computed on first use.
+    code carries, set by the designer for its codes and otherwise computed
+    on first use; only the other keys read the closed tuple.
     """
-    partial = isinstance(code, PartialDopr)
-    if not partial and len(code.dops) < 2:
+    if not isinstance(code, PartialDopr) and len(code.dops) < 2:
         raise ValueError("difference tables need weight >= 2")
     if k == 1 and n is not None:
         return code._folded
-    dops = code.dops + (code.n - sum(code.dops),) if partial else code.dops
-    return _subset_keys(_anchored_rows(dops), k, n)
+    return _subset_keys(_anchored_rows(code.closed), k, n)
 
 
 def build_graph(codes, threshold: int) -> CodeGraph:
@@ -213,13 +211,14 @@ def build_graph(codes, threshold: int) -> CodeGraph:
 
     That is, the two codes share no (``threshold`` + 1)-point pattern of
     one-bits: no row of one table shares ``threshold`` entries with a row
-    of the other.  A partial code stands for its closed companion.  Each
-    code is keyed straight from its differences and builds no table: when
-    all codes share one length, by its folded distances at threshold 1
-    and otherwise by the canonical anchorings of its patterns (see the
-    module docstring); when lengths mix, by every ``threshold``-entry
-    subset of its rows.  ``threshold`` must be a positive integer, and
-    every code must have weight at least 2.
+    of the other.  Every code is read through its closed tuple, so a
+    partial code stands for its closed companion.  Each code is keyed
+    straight from its differences and builds no table: when all codes
+    share one length, by its folded distances at threshold 1 and
+    otherwise by the canonical anchorings of its patterns (see the module
+    docstring); when lengths mix, by every ``threshold``-entry subset of
+    its rows.  ``threshold`` must be a positive integer, and every code
+    must have weight at least 2.
     """
     nodes = tuple(codes)
     _check_integers("threshold", threshold)

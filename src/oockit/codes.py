@@ -8,11 +8,13 @@ Three equivalent views are used throughout the package:
 * the circular differences between consecutive one-bit positions (DoPR,
   difference-of-positions form).
 
-The difference view is the workhorse.  Circularly shifting the code only
-rotates its difference tuple, so canonicalizing a code means picking a
-distinguished rotation: the one whose last difference is maximal, breaking
-ties by the lexicographically smallest leading block.  Everything the
-designer enumerates lives in that canonical space.
+The difference view is the workhorse; a partial one, the leading
+differences of a code under construction, reads as the code its remainder
+closes.  Circularly shifting the code only rotates its difference tuple,
+so canonicalizing a code means picking a distinguished rotation: the one
+whose last difference is maximal, breaking ties by the lexicographically
+smallest leading block.  Everything the designer enumerates lives in that
+canonical space.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-from .edop import (
-    EdopMatrix,
-    _check_integers,
-    _folded_distances,
-    edop_full,
-    edop_partial,
-)
+from .edop import EdopMatrix, _check_integers, _folded_distances, edop_full
 
 __all__ = [
     "CodeParams",
@@ -112,8 +108,28 @@ class Wpr:
         return len(self.positions)
 
 
+class _DifferenceForm:
+    """A complete or partial difference form, read through ``closed``: the
+    difference tuple of the complete code it stands for."""
+
+    @property
+    def closed(self) -> tuple[int, ...]:
+        return self.dops
+
+    @cached_property
+    def table(self) -> EdopMatrix:
+        """The closed tuple's difference table, built on first use and kept."""
+        return edop_full(self)
+
+    @cached_property
+    def _folded(self) -> tuple[int, ...]:
+        """The closed tuple's min(d, n - d) per pair of one-bits, the keys
+        `build_graph` reads; the designer sets them on the codes it makes."""
+        return tuple(_folded_distances(self.closed, self.n))
+
+
 @dataclass(frozen=True)
-class Dopr:
+class Dopr(_DifferenceForm):
     """Circular differences between consecutive one-bit positions.
 
     For weight w >= 2 every element lies in [1, n-1] and the elements sum
@@ -146,20 +162,6 @@ class Dopr:
     def weight(self) -> int:
         return len(self.dops)
 
-    @cached_property
-    def table(self) -> EdopMatrix:
-        """The code's difference table, built on first use and kept."""
-        return edop_full(self)
-
-    @cached_property
-    def _folded(self) -> tuple[int, ...]:
-        """min(d, n - d) per pair of one-bits, the keys `build_graph` reads.
-
-        Computed on first use, unless the designer set it when it closed
-        the code: rotation keeps every distance.
-        """
-        return tuple(_folded_distances(self.dops, self.n))
-
 
 def rotations(dops: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All rotations of a difference tuple, starting from the identity."""
@@ -188,12 +190,13 @@ class StandardDopr(Dopr):
 
 
 @dataclass(frozen=True)
-class PartialDopr:
+class PartialDopr(_DifferenceForm):
     """Leading u < w differences of a weight-w code under construction.
 
     The unspent length n - sum(dops) must still fit the remaining w - u
     differences, each at least 1; `design.extend_clique_codes` admits each
-    difference of the designer's prefixes only inside that room.
+    difference of the designer's prefixes only inside that room.  It reads
+    as its closed companion, the weight-(u+1) code that remainder closes.
     """
 
     dops: tuple[int, ...]
@@ -217,19 +220,9 @@ class PartialDopr:
     def u(self) -> int:
         return len(self.dops)
 
-    @cached_property
-    def table(self) -> EdopMatrix:
-        """The closed companion's difference table, built on first use and kept."""
-        return edop_partial(self)
-
-    @cached_property
-    def _folded(self) -> tuple[int, ...]:
-        """The closed companion's min(d, n - d) per pair of one-bits.
-
-        Computed on first use, unless extension set it when it admitted
-        the code, from its parent's.
-        """
-        return tuple(_folded_distances(self.dops + (self.n - sum(self.dops),), self.n))
+    @property
+    def closed(self) -> tuple[int, ...]:
+        return self.dops + (self.n - sum(self.dops),)
 
 
 def wpr_from_binary(code: BinaryCode) -> Wpr:
@@ -276,6 +269,9 @@ def max_difference_at(n: int, w: int, position: int) -> int:
     floor((w-1)/2) slots are capped at floor((n-w+1)/2); the remaining
     non-final slots at floor((n-w+2)/2).
     """
+    _check_integers("n, w and position", n, w, position)
+    if not n > w >= 2:
+        raise ValueError(f"need 2 <= w < n, got n={n} w={w}")
     if not 1 <= position <= w - 1:
         raise ValueError(f"position must lie in [1, {w - 1}]")
     if position <= (w - 1) // 2:
@@ -291,4 +287,7 @@ def last_difference_range(n: int, w: int) -> tuple[int, int]:
     check every canonical code against both.  The designer never calls it:
     the length forces the closing difference, n minus the sum of the rest.
     """
+    _check_integers("n and w", n, w)
+    if not n > w >= 2:
+        raise ValueError(f"need 2 <= w < n, got n={n} w={w}")
     return (-(-n // w), n - w + 1)

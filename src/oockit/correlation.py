@@ -33,7 +33,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, product
 
-from .codes import BinaryCode, Dopr, PartialDopr, Wpr, wpr_from_binary, wpr_from_dopr
+from .codes import BinaryCode, Dopr, PartialDopr, Wpr, _DifferenceForm
+from .codes import wpr_from_binary, wpr_from_dopr
 from .edop import EdopMatrix, _check_integers
 
 # Unused here, but perfbench/tracing.py counts calls by swapping this
@@ -111,7 +112,7 @@ def _as_matrix(code: EdopMatrix | Dopr | PartialDopr) -> EdopMatrix:
     """A table as is, or the table a complete or partial code keeps."""
     if isinstance(code, EdopMatrix):
         return code
-    if isinstance(code, (Dopr, PartialDopr)):
+    if isinstance(code, _DifferenceForm):
         return code.table
     raise TypeError(f"expected EdopMatrix, Dopr or PartialDopr, got {type(code)!r}")
 

@@ -178,13 +178,13 @@ def _capped(cliques, max_sets: int | None):
 def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
     """Complete codes of a pool one difference short, one per rotation class.
 
-    Each member is closed with the difference the length forces, at least
-    1 as extension left room, and put in canonical rotation; the first
-    code of each class in pool order is made by construction
-    (`edop._settled`) with its member's folded distances, which rotation
-    keeps.  The members already meet the self-correlation ceiling, because
-    extension judged each one's closed companion, which at u = w-1 is the
-    complete code.
+    Each member is read as its closed companion (``closed``), whose last
+    difference the length forces, at least 1 as extension left room, and
+    is put in canonical rotation; the first code of each class in pool
+    order is made by construction (`edop._settled`) with its member's
+    folded distances, which rotation keeps.  The members already meet the
+    self-correlation ceiling, because extension judged each one's closed
+    companion, which at u = w-1 is the complete code.
 
     The positional ranges prune most rotational duplicates from a pool but
     not all of them.  Duplicates are poison for the degree-greedy walk:
@@ -196,12 +196,12 @@ def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
     other emitted sets extendable by the discarded class.
     """
     n = params.n
-    closed: dict[tuple[int, ...], StandardDopr] = {}
+    kept: dict[tuple[int, ...], StandardDopr] = {}
     for code in pool:
-        dops = _standard_rotation(code.dops + (n - sum(code.dops),))
-        if dops not in closed:
-            closed[dops] = _settled(StandardDopr, dops=dops, n=n, _folded=code._folded)
-    return tuple(closed.values())
+        dops = _standard_rotation(code.closed)
+        if dops not in kept:
+            kept[dops] = _settled(StandardDopr, dops=dops, n=n, _folded=code._folded)
+    return tuple(kept.values())
 
 
 def design_fixed(params: CodeParams, max_sets: int | None = None) -> Family:

@@ -128,21 +128,20 @@ def _settled(cls, **fields):
     return made
 
 
-def edop_full(dopr: Dopr) -> EdopMatrix:
-    """Complete table of a weight >= 2 code."""
-    if dopr.weight < 2:
-        raise ValueError("difference tables need weight >= 2")
-    return _settled(EdopMatrix, rows=_anchored_rows(dopr.dops), n=dopr.n)
+def edop_full(code: Dopr | PartialDopr) -> EdopMatrix:
+    """Table of a code's closed tuple, which must have weight >= 2.
 
-
-def edop_partial(partial: PartialDopr) -> EdopMatrix:
-    """Table of a partial code's closed companion.
-
-    The u known differences plus the wrap-around remainder n - sum form a
-    weight-(u+1) code whose full table this is: (u+1) rows of u entries.
+    A complete code's table is its own; a partial code with u known
+    differences yields its closed companion's, (u+1) rows of u entries.
     """
-    closed = partial.dops + (partial.n - sum(partial.dops),)
-    return _settled(EdopMatrix, rows=_anchored_rows(closed), n=partial.n)
+    closed = code.closed
+    if len(closed) < 2:
+        raise ValueError("difference tables need weight >= 2")
+    return _settled(EdopMatrix, rows=_anchored_rows(closed), n=code.n)
+
+
+# A partial code's table is its closed companion's: one builder, two names.
+edop_partial = edop_full
 
 
 def zero_augment(matrix: EdopMatrix) -> ZeroAugmentedEdop:

@@ -259,12 +259,10 @@ def _design_tuple(params, max_sets):
         if final:
             pool = list(dict.fromkeys(canonical_gaps(c + (n - sum(c),)) for c in pool))
         ones = [companion_positions(c[:-1] if final else c) for c in pool]
-        adjacency = {i: set() for i in range(len(pool))}
-        for i, j in combinations(range(len(pool)), 2):
-            if table_cross(ones[i], n, ones[j], n) <= lambda_c:
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-        walks = greedy_walks(adjacency)
+        graph = _graph(
+            len(pool), lambda i, j: table_cross(ones[i], n, ones[j], n) <= lambda_c
+        )
+        walks = greedy_walks(graph)
         if max_sets is not None and len(walks) > max_sets:
             ranked = sorted(range(len(walks)), key=lambda i: (-len(walks[i]), i))
             walks = [walks[i] for i in sorted(ranked[:max_sets])]
@@ -275,6 +273,16 @@ def _design_tuple(params, max_sets):
             else:
                 pools.append(extend_prefixes(members, n, w, lambda_a))
     return _select([(params, members) for members in candidates], max_sets)
+
+
+def _graph(size, joined):
+    """Adjacency over nodes 0..size-1, joining each pair ``joined`` accepts."""
+    adjacency = {i: set() for i in range(size)}
+    for i, j in combinations(range(size), 2):
+        if joined(i, j):
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    return adjacency
 
 
 def _select(sets, max_sets):
@@ -293,13 +301,12 @@ def _select(sets, max_sets):
             for y in b[1]
         )
 
-    adjacency = {i: set() for i in range(len(sets))}
-    for i, j in combinations(range(len(sets)), 2):
-        if cross(sets[i], sets[j]) <= min(sets[i][0][3], sets[j][0][3]) + 1:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
+    def separated(i, j):
+        return cross(sets[i], sets[j]) <= min(sets[i][0][3], sets[j][0][3]) + 1
+
     chosen = sorted(
-        greedy_walk(adjacency), key=lambda i: (*sets[i][0][:2], sets[i][1], i)
+        greedy_walk(_graph(len(sets), separated)),
+        key=lambda i: (*sets[i][0][:2], sets[i][1], i),
     )[:max_sets]
     kept = [sets[i] for i in chosen]
     level = max((cross(a, b) for a, b in combinations(kept, 2)), default=0)

@@ -315,6 +315,22 @@ def test_max_difference_at_rejects_out_of_slot_positions():
 
 
 @pytest.mark.parametrize(
+    "helper,args",
+    [
+        (last_difference_range, (7, 0)),
+        (last_difference_range, (5, 7)),
+        (max_difference_at, (3, 5, 2)),
+        (max_difference_at, (7.5, 3, 1)),
+        (max_difference_at, (7, 3, 1.5)),
+    ],
+)
+def test_range_helpers_refuse_inputs_outside_their_domain(helper, args):
+    """Both are stated for integers with 2 <= w < n, and slots are integers."""
+    with pytest.raises(ValueError):
+        helper(*args)
+
+
+@pytest.mark.parametrize(
     "n,w,expected",
     [(13, 4, (4, 10)), (25, 3, (9, 23)), (7, 3, (3, 5)), (31, 5, (7, 27))],
 )

@@ -13,6 +13,7 @@ from oockit import (
     EdopMatrix,
     PartialDopr,
     Wpr,
+    autocorr_edop,
     check_complement_closure,
     dopr_from_wpr,
     edop_full,
@@ -82,6 +83,17 @@ def test_partial_table_at_full_prefix_equals_the_full_table():
     # With w-1 elements fixed the companion is the finished code itself.
     partial = edop_partial(PartialDopr((2, 3, 4), 13, 4))
     assert partial.rows == edop_full(WORKED).rows
+
+
+@pytest.mark.parametrize("build", [edop_full, edop_partial])
+@pytest.mark.parametrize("code", [Dopr((2, 3, 8), 13), PartialDopr((2, 3), 13, 4)])
+def test_both_builders_give_the_table_of_the_closed_tuple(build, code):
+    """A complete code's own table, and a partial one's companion's: here
+    both are the table of (2, 3, 8), whose self correlation is 1."""
+    table = build(code)
+    assert table.rows == ((2, 5), (3, 11), (8, 10))
+    assert table == EdopMatrix(table.rows, 13)
+    assert autocorr_edop(table).lambda_ax == 1
 
 
 @st.composite
