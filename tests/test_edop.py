@@ -113,10 +113,9 @@ def table_owners(draw, max_n=40, max_w=6):
 
 @given(table_owners())
 def test_a_code_keeps_the_table_its_builder_gives(code):
-    build = edop_partial if isinstance(code, PartialDopr) else edop_full
     assert _as_matrix(code) is code.table
     assert code.table is code.table
-    assert code.table == build(code)
+    assert code.table == edop_full(code) == edop_partial(code)
 
 
 @given(table_owners(max_n=60, max_w=7))

@@ -89,10 +89,6 @@ def lists_of(draw, items, max_size):
     return draw(st.lists(items(n), max_size=max_size))
 
 
-def table(code):
-    return edop_partial(code) if isinstance(code, PartialDopr) else edop_full(code)
-
-
 def positions(code):
     """One-bit positions of the code, or of a partial code's closed companion."""
     steps = code.dops if isinstance(code, PartialDopr) else code.dops[:-1]
@@ -112,7 +108,7 @@ def test_build_graph_edges_match_both_reference_routes(pool, threshold):
             b = pool[j]
             joined = j in graph.neighbors[i]
             assert joined == (
-                crosscorr_edop(table(a), table(b)).lambda_cxy <= threshold
+                crosscorr_edop(edop_full(a), edop_full(b)).lambda_cxy <= threshold
             )
             if a.n == b.n:
                 assert joined == (
