@@ -3,21 +3,25 @@
 Two routes exist for every correlation value.  The brute-force route reads
 the definition off the one-bit positions: a pair p of x and q of y
 coincides at exactly one shift, m = (q - p) mod n, so counting those
-differences gives the whole overlap profile, sparsely.  Its work is
-w_x * w_y per pair of codes, whatever n is, so a document's verify cost
-follows its size, not the length it declares.  The difference-table route
-compares rows of the codes' tables: the peak non-trivial overlap is one
-more than the largest number of entries two rows share.  It runs on one
-index, `_row_overlaps`: each entry value gets an int bitset of the rows
-that hold it, and each row folds its entries' bitsets into "rows sharing
-at least k of my entries" bitsets, one per level k.  That is at most
-(w - 1) * depth int operations per row, depth <= w - 1, so the worst case
-is polynomial in w; each operation is on a bitset one bit per row of the
-call.  A table's levels are its rows' levels ORed together, and a pair
-of tables, or of runs of tables, reads its count as the highest level
-whose bitset meets the other side's rows.  One call settles every table
-pair of a document at once.  Both routes must agree, share no code, and
-the test suite holds them to that.
+differences gives the whole overlap profile, sparsely.  One tally,
+`_shift_tally`, does that counting for every caller: a run of codes of
+one length goes through `_shift_peaks` in one pass per code, over the
+code itself and every later one, and a single code or pair through the
+same tally.  Its work is w_x * w_y per pair of codes, whatever n is, so
+a document's verify cost follows its size, not the length it declares.
+The difference-table route compares rows of the codes' tables: the peak
+non-trivial overlap is one more than the largest number of entries two
+rows share.  It runs on one index, `_row_overlaps`: each entry value
+gets an int bitset of the rows that hold it, and each row folds its
+entries' bitsets into "rows sharing at least k of my entries" bitsets,
+one per level k.  That is at most (w - 1) * depth int operations per
+row, depth <= w - 1, so the worst case is polynomial in w; each
+operation is on a bitset one bit per row of the call.  A table's levels
+are its rows' levels ORed together, and a pair of tables, or of runs of
+tables, reads its count as the highest level whose bitset meets the
+other side's rows.  One call settles every table pair of a document at
+once.  Both routes must agree, share no code, and the test suite holds
+them to that.
 
 Comparison counting is opt-in.  With ``count_comparisons=True`` a route
 runs its one literal scan, shared by auto and cross correlation (n shifts
@@ -31,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, count, product
 
 from .codes import BinaryCode, Dopr, PartialDopr, Wpr, _DifferenceForm
 from .codes import wpr_from_binary, wpr_from_dopr
@@ -248,6 +252,43 @@ def _row_overlaps(tables) -> _RowOverlaps:
     return _RowOverlaps(levels, width)
 
 
+def _shift_tally(xpos, runs, n: int) -> Counter:
+    """Overlap of x against each code of ``runs`` at every shift, sparsely.
+
+    Key j * n + m counts the one-bits p of x and q of runs[j] with
+    (q - p) mod n = m, so every key reads one shift of one pair; shifts
+    that no pair of one-bits meets have no key.  w_x * w_y steps per code
+    of ``runs``, whatever n is.
+    """
+    return Counter(
+        base + (q - p) % n
+        for base, ypos in zip(count(0, n), runs)  # base = j * n
+        for p in xpos
+        for q in ypos
+    )
+
+
+def _shift_peaks(positions, n: int) -> list[list[int]]:
+    """Peak shift overlaps within a run of codes of one length n.
+
+    ``positions`` holds each code's one-bit positions.  Entry [i][0] is
+    code i's self peak over shifts 1..n-1 and entry [i][j] its peak
+    against code i + j over every shift: one tally per code, over the
+    code itself and every later one, with the self shift 0 left out.
+    """
+    peaks = []
+    for i, xpos in enumerate(positions):
+        tally = _shift_tally(xpos, positions[i:], n)
+        del tally[0]
+        best = [0] * (len(positions) - i)
+        for key, overlap in tally.items():
+            j = key // n
+            if overlap > best[j]:
+                best[j] = overlap
+        peaks.append(best)
+    return peaks
+
+
 def autocorr_bruteforce(
     code: BinaryCode | Wpr | Dopr, *, count_comparisons: bool = False
 ) -> CorrelationReport:
@@ -263,7 +304,7 @@ def autocorr_bruteforce(
     if count_comparisons:
         hits, comparisons = _slide(positions, positions, n, 1)
         return CorrelationReport(max(hits.values()), hits, n, comparisons)
-    shifts = Counter((q - p) % n for p in positions for q in positions)
+    shifts = _shift_tally(positions, [positions], n)
     del shifts[0]
     return CorrelationReport(max(shifts.values()), shifts, n)
 
@@ -290,7 +331,7 @@ def crosscorr_bruteforce(
     if count_comparisons:
         hits, comparisons = _slide(xpos, ypos, n, 0)
         return CrossReport(max(hits.values()), hits, n, comparisons)
-    shifts = Counter((q - p) % n for p in xpos for q in ypos)
+    shifts = _shift_tally(xpos, [ypos], n)
     return CrossReport(max(shifts.values()), shifts, n)
 
 

@@ -18,18 +18,18 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .cliques import Family
-from .codes import CodeParams, Dopr, Wpr, _standard_rotation, wpr_from_dopr
-from .correlation import (
-    _row_overlaps,
-    autocorr_bruteforce,
-    crosscorr_bruteforce,
-    johnson_bound,
-)
+from .codes import CodeParams, Dopr, _standard_rotation, wpr_from_dopr
+from .correlation import _row_overlaps, _shift_peaks, johnson_bound
 from .edop import EdopMatrix, edop_full
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
-# two names on this module, so they must stay importable from it.
-from .correlation import autocorr_edop, crosscorr_edop  # noqa: F401
+# four names on this module, so they must stay importable from it.
+from .correlation import (  # noqa: F401
+    autocorr_bruteforce,
+    autocorr_edop,
+    crosscorr_bruteforce,
+    crosscorr_edop,
+)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -315,8 +315,11 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
     table row, on bitsets one bit per row of the document; a pair read
     costs one AND per level, and a set pair's peak one AND per level and
     table of the first set.  The shift route, which shares no code with
-    it, reads each code's one-bit positions once and counts the shifts of
-    every code and in-set pair for ``method-agreement``.
+    it, reads the stored positions, which ``position-consistency`` has tied
+    to the stored differences: `_shift_peaks` makes one pass per code over
+    the code itself and every later code of its set, w^2 shift counts per
+    pair whatever n is, and ``method-agreement`` compares its peak for
+    every code and in-set pair with the table level.
     """
     problems: dict[str, list[str]] = {rule: [] for rule in _RULES}
     bad_sets: set[int] = set()
@@ -382,13 +385,11 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
     # level, each in-set pair's and each set pair's.
     sound = [k for k in params if k not in bad_sets]
     tables: list[EdopMatrix] = []
-    wprs: list[Wpr] = []  # per table, positions read once
     span: dict[int, range] = {}  # set index -> its tables' indexes
     for k in sound:
         codes = [Dopr(c.dopr, doc.sets[k].n) for c in doc.sets[k].codes]
         span[k] = range(len(tables), len(tables) + len(codes))
         tables.extend(map(edop_full, codes))
-        wprs.extend(map(wpr_from_dopr, codes))
     overlaps = _row_overlaps(tables)
 
     # Correlation rules, one sound set at a time.
@@ -396,13 +397,14 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
     for k in sound:
         s, p = doc.sets[k], params[k]
         size, t = len(s.codes), span[k].start  # t: the set's first table
+        shifts = _shift_peaks([c.wpr for c in s.codes], p.n)  # [i][j - i]
         auto = [1 + overlaps[t + i, t + i] for i in range(size)]
         for i, level in enumerate(auto):
             if level > p.lambda_a:
                 problems["auto-correlation-bound"].append(
                     f"set {k} code {i}: self correlation {level} exceeds {p.lambda_a}"
                 )
-            brute = autocorr_bruteforce(wprs[t + i]).lambda_ax
+            brute = shifts[i][0]
             if brute != level:
                 problems["method-agreement"].append(
                     f"set {k} code {i}: "
@@ -414,7 +416,7 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
             for j in range(i + 1, size):
                 level = 1 + overlaps[t + i, t + j]
                 cross_peak = max(cross_peak, level)
-                brute = crosscorr_bruteforce(wprs[t + i], wprs[t + j]).lambda_cxy
+                brute = shifts[i][j - i]
                 if brute != level:
                     problems["method-agreement"].append(
                         f"set {k} codes {i},{j}: "

@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oockit import (
     BinaryCode,
@@ -27,7 +27,7 @@ from oockit import (
     set_lambda_c,
 )
 
-from oockit.correlation import _row_overlaps
+from oockit.correlation import _row_overlaps, _shift_peaks
 from oracles import (
     all_subsets,
     auto_profile,
@@ -41,6 +41,7 @@ from oracles import (
 
 X = BinaryCode((0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0))
 Y = BinaryCode((1, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0))
+HUGE_N = 10**12 + 39
 
 
 def test_worked_auto_correlation():
@@ -383,3 +384,59 @@ def test_profiles_stay_sparse_until_asked_for():
     assert len(crosscorr_bruteforce(x, y).hits) == 9
     assert autocorr_edop(x).per_shift is None
     assert crosscorr_edop(x, y).per_shift is None
+
+
+@st.composite
+def shift_runs(draw):
+    """A run of 1-6 codes of one length n in 7..61, each of weight 2..6 as
+    sorted one-bit positions.  A code may repeat an earlier one, which it
+    meets in full at shift 0, or hold three one-bits a, a + g, a + 2g,
+    which meet at shift g twice: a self peak of at least 2."""
+    n = draw(st.integers(7, 61))
+    run: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(1, 6))):
+        kinds = ("any", "gap", "repeat") if run else ("any", "gap")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "repeat":
+            run.append(draw(st.sampled_from(run)))
+            continue
+        held: set[int] = set()
+        if kind == "gap":
+            a, g = draw(st.integers(0, n - 1)), draw(st.integers(1, n - 1))
+            held = {a, (a + g) % n, (a + 2 * g) % n}
+        w = max(len(held), draw(st.integers(2, 6)))
+        rest = st.integers(0, n - 1).filter(lambda p: p not in held)
+        held |= draw(st.sets(rest, min_size=w - len(held), max_size=w - len(held)))
+        run.append(tuple(sorted(held)))
+    return n, run
+
+
+@settings(max_examples=300, deadline=None)
+@given(shift_runs())
+@example((7, [(0, 1, 3), (0, 1, 3)]))  # a repeated code: peak 3 at shift 0
+@example((12, [(0, 2, 4, 7), (1, 5, 9)]))  # repeated gaps: self peaks 2 and 3
+def test_shift_peaks_match_the_definition_and_the_pair_routes(run):
+    n, positions = run
+    peaks = _shift_peaks(positions, n)
+    assert [len(row) for row in peaks] == list(range(len(positions), 0, -1))
+    for i, x in enumerate(positions):
+        assert peaks[i][0] == max_auto(x, n) == autocorr_bruteforce(Wpr(x, n)).lambda_ax
+        for j in range(i + 1, len(positions)):
+            y = positions[j]
+            cross = crosscorr_bruteforce(Wpr(x, n), Wpr(y, n)).lambda_cxy
+            assert peaks[i][j - i] == max_cross(x, y, n) == cross
+
+
+def test_shift_peaks_at_a_huge_length():
+    # Weight 3 at n = 10**12 + 39: the work is w^2 per pair, whatever n is.
+    # (0, 1, n - 1) has gaps 1, n - 2, 1, so shifts 1 and n - 1 each meet
+    # twice; it meets its copy in full at shift 0, and (0, 1, 3) at shifts
+    # 0, 1 and 2 twice each.
+    n = HUGE_N
+    positions = [(0, 1, n - 1), (0, 1, n - 1), (0, 4, 12), (0, 1, 3)]
+    assert _shift_peaks(positions, n) == [[2, 3, 1, 2], [2, 1, 2], [1, 1], [1]]
+    codes = [Wpr(x, n) for x in positions]
+    assert [autocorr_bruteforce(c).lambda_ax for c in codes] == [2, 2, 1, 1]
+    assert [crosscorr_bruteforce(codes[0], c).lambda_cxy for c in codes] == [
+        3, 3, 1, 2
+    ]

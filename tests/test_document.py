@@ -11,8 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 import oockit.document
 from oockit import (
     CodeParams,
-    CorrelationReport,
-    CrossReport,
     DocumentError,
     Dopr,
     autocorr_bruteforce,
@@ -480,16 +478,16 @@ def test_huge_declared_length_still_finds_a_self_correlation_peak():
 
 
 def test_method_agreement_compares_every_code_and_pair(monkeypatch):
-    # Skew the shift-counting route by one; the rule must then name every
-    # code and every in-set pair, each against its table value.
-    monkeypatch.setattr(
-        oockit.document,
-        "autocorr_bruteforce",
-        lambda code: CorrelationReport(autocorr_bruteforce(code).lambda_ax + 1),
-    )
-    monkeypatch.setattr(
-        oockit.document, "crosscorr_bruteforce", lambda x, y: CrossReport(9)
-    )
+    # Skew the shift-counting route: every self peak one higher, every pair
+    # peak 9.  The rule must then name every code and every in-set pair,
+    # each against its table value.
+    shift_peaks = oockit.document._shift_peaks
+
+    def skewed(positions, n):
+        peaks = shift_peaks(positions, n)
+        return [[row[0] + 1] + [9] * (len(row) - 1) for row in peaks]
+
+    monkeypatch.setattr(oockit.document, "_shift_peaks", skewed)
     report = verify_document(DOC25)
     assert {c.rule for c in report.failures()} == {"method-agreement"}
     detail = {c.rule: c.detail for c in report.checks}["method-agreement"]
