@@ -315,6 +315,20 @@ def test_designer_pools_equal_their_checked_construction(params):
             [194, 197, 43, 43],
             [(43, 43), (43, 43)],
         ),
+        (
+            CodeParams(25, 4, 1, 2),
+            None,
+            [(100, 4920), (220, 19630)],
+            [375],
+            [(375, 220)],
+        ),
+        (
+            CodeParams(25, 5, 2, 2),
+            None,
+            [(90, 3990), (810, 269158), (129, 2745)],
+            [810, 129],
+            [(129, 129)],
+        ),
     ],
 )
 def test_design_stage_counts(monkeypatch, params, max_sets, graphs, children, closing):
