@@ -48,21 +48,30 @@ it, the gaps would increase all the way round the cycle.  And the rule
 reads only the gaps, so two codes that share a pattern keep the same
 anchorings of it: they share a kept key exactly when they share any
 key.  At k = 1 the rule keeps min(d, n - d) for each pair of one-bits,
-its folded distance, which `build_graph` keys as a plain int.  Groups
-that mix lengths keep every subset.
+its folded distance, keyed as a plain int.  At k = 2 a pattern is a
+triple of one-bits a < b < c, and its rows' subsets are (b - a, c - a)
+at a, (c - b, n - b + a) at b and (n - c + a, n - c + b) at c, so the
+rule keeps a when b + c <= n + 2a, b when a + c <= 2b and c when
+n + a + b <= 2c: the same anchorings, read off the triple, whichever
+code holds it.  Each kept (s_1, s_2) is keyed as the int s_1 * n + s_2,
+one int per subset at one length.  Groups that mix lengths keep every
+subset.
 
 `build_graph` keys each code straight from its differences and builds no
-table; it joins the codes that do not clash at the design threshold.  At
-threshold 1 with one length its keys are the folded distances each code
-carries: the designer's codes get them from extension, which has just
-counted every distance, and any other code computes its own once.
-`clique_set_matrix` keys the rows of each candidate set's members and
-joins the sets that do not clash one entry above the stricter of their
-ceilings.  A graph's adjacency is one int mask per node and nothing
-else: the walk scores a node with ``int.bit_count``, and the neighbor
-sets are only read off the masks on request.  A set member builds its
-table once and keeps it (`Dopr.table`); the owner bitsets live for one
-call.
+table; it joins the codes that do not clash at the design threshold.
+With one length, threshold 1 reads the folded distances each code
+carries (the designer's codes get them from extension, which has just
+counted every distance) and threshold 2 its triple keys; each code
+computes these once and keeps them.  A higher threshold, or lengths
+that mix, keys the subsets of the rows of each code's closed tuple.
+`clique_set_matrix` keys each candidate set's members and joins the sets
+that do not clash one entry above the stricter of their ceilings: at
+ceiling 1 with one length by the members' triple keys, so a set it
+drops builds no table, and otherwise by the subsets of their table rows.
+A graph's adjacency is one int mask per node and nothing else: the walk
+scores a node with ``int.bit_count``, and the neighbor sets are only
+read off the masks on request.  A set member builds its table once and
+keeps it (`Dopr.table`); the owner bitsets live for one call.
 
 `interset_crosscorr` is the one reader of cross levels between groups
 of codes: it serves `verify_maximality` too, and the tests hold the
@@ -195,15 +204,27 @@ def _subset_keys(rows, k: int, n: int | None):
 def _code_keys(code, k: int, n: int | None):
     """The keys of a code's closed tuple (a partial code's companion's).
 
-    At k = 1 with a common length the keys are the folded distances the
-    code carries, set by the designer for its codes and otherwise computed
-    on first use; only the other keys read the closed tuple.
+    With a common length, k = 1 reads the folded distances the code
+    carries, set by the designer for its codes, and k = 2 its triple keys;
+    each is computed on first use and kept on the code.  Any other k, or
+    mixed lengths, keys the subsets of the closed tuple's rows.
     """
     if not isinstance(code, PartialDopr) and len(code.dops) < 2:
         raise ValueError("difference tables need weight >= 2")
-    if k == 1 and n is not None:
-        return code._folded
+    if n is not None and k <= 2:
+        return code._folded if k == 1 else code._triples
     return _subset_keys(_anchored_rows(code.closed), k, n)
+
+
+def _set_keys(codes, k: int, n: int | None) -> list:
+    """The keys of a candidate set's members, as one list.
+
+    With a common length, k = 2 reads each member's triple keys and builds
+    no table; otherwise the subsets of the members' table rows are keyed.
+    """
+    if k == 2 and n is not None:
+        return [key for c in codes for key in c._triples]
+    return _subset_keys([row for c in codes for row in c.table.rows], k, n)
 
 
 def build_graph(codes, threshold: int) -> CodeGraph:
@@ -213,12 +234,14 @@ def build_graph(codes, threshold: int) -> CodeGraph:
     one-bits: no row of one table shares ``threshold`` entries with a row
     of the other.  Every code is read through its closed tuple, so a
     partial code stands for its closed companion.  Each code is keyed
-    straight from its differences and builds no table: when all codes
-    share one length, by its folded distances at threshold 1 and
-    otherwise by the canonical anchorings of its patterns (see the module
-    docstring); when lengths mix, by every ``threshold``-entry subset of
-    its rows.  ``threshold`` must be a positive integer, and every code
-    must have weight at least 2.
+    straight from its differences and builds no table.  When all codes
+    share one length, it is keyed by the canonical anchorings of its
+    patterns (see the module docstring): at threshold 1 its folded
+    distances and at threshold 2 its triple keys, both kept on the code,
+    and above that the kept subsets of its rows.  When lengths mix, it is
+    keyed by every ``threshold``-entry subset of its rows.  ``threshold``
+    must be a positive integer, and every code must have weight at least
+    2.
     """
     nodes = tuple(codes)
     _check_integers("threshold", threshold)
@@ -397,7 +420,10 @@ def clique_set_matrix(cliques) -> CodeGraph:
     """Separation graph of candidate sets, one node per set.
 
     Two sets are joined when their members' rows share no
-    (min(lambda_c of both) + 1)-entry subset.  Each set's own
+    (min(lambda_c of both) + 1)-entry subset.  With one length, ceiling 1
+    reads the members' triple keys and builds no table; any other ceiling,
+    or lengths that mix, keys the subsets of the members' table rows (see
+    the module docstring).  Each set's own
     ``params.lambda_c`` is its cross ceiling, so a joined pair's inter-set
     peak is at most the stricter ceiling plus one, the floor forced
     between distinct maximal cliques.  Each distinct ceiling c judges its
@@ -409,11 +435,10 @@ def clique_set_matrix(cliques) -> CodeGraph:
     """
     items = tuple(cliques)
     ceilings = [s.params.lambda_c for s in items]
-    rows = [[row for c in s.codes for row in c.table.rows] for s in items]
     n = _common_length(c for s in items for c in s.codes)
     clash = [0] * len(items)
     for c in set(ceilings):
-        level = _clashes([_subset_keys(r, c + 1, n) for r in rows])
+        level = _clashes([_set_keys(s.codes, c + 1, n) for s in items])
         judged = sum(1 << i for i, ci in enumerate(ceilings) if ci == c)
         for i, ci in enumerate(ceilings):
             clash[i] |= level[i] if ci == c else level[i] & judged

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-from .edop import EdopMatrix, _check_integers, _folded_distances, edop_full
+from .edop import (
+    EdopMatrix,
+    _check_integers,
+    _folded_distances,
+    _triple_keys,
+    edop_full,
+)
 
 __all__ = [
     "CodeParams",
@@ -126,6 +132,13 @@ class _DifferenceForm:
         """The closed tuple's min(d, n - d) per pair of one-bits, the keys
         `build_graph` reads; the designer sets them on the codes it makes."""
         return tuple(_folded_distances(self.closed, self.n))
+
+    @cached_property
+    def _triples(self) -> tuple[int, ...]:
+        """The closed tuple's threshold-2 keys at its length, one int per
+        kept anchoring of each triple of one-bits (`edop._triple_keys`);
+        `build_graph` and `clique_set_matrix` read them."""
+        return tuple(_triple_keys(self.closed, self.n))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ import re
 import pytest
 
 import oockit.cliques
+import oockit.codes
 from oockit import (
     BinaryCode,
+    CliqueSet,
     CodeGraph,
     CodeParams,
     Dopr,
@@ -328,6 +330,25 @@ def test_select_family_keeps_separated_sets():
     family = select_family([a, b])
     assert family.sets == (a, b)
     assert family.interset_lambda == 2
+
+
+def test_select_family_at_ceiling_one_builds_only_the_kept_sets_tables(monkeypatch):
+    """Candidate sets at lambda_c = 1 are keyed by their members' triple
+    keys; only the kept sets' codes build tables, for the family level."""
+    params = CodeParams(25, 3, 1, 1)
+    x, y, z = Dopr((1, 2, 22), 25), Dopr((3, 5, 17), 25), Dopr((4, 6, 15), 25)
+    x_again = Dopr((2, 22, 1), 25)  # x rotated: the two sets clash
+    sets = [CliqueSet(c, params, 0, 0, 0) for c in ((x, y), (x_again,), (z,))]
+    built = []
+
+    def counted(code):
+        built.append(code)
+        return edop_full(code)
+
+    monkeypatch.setattr(oockit.codes, "edop_full", counted)
+    family = select_family(sets)
+    assert family.sets == (sets[0], sets[2])
+    assert sorted(c.dops for c in built) == sorted(c.dops for c in (x, y, z))
 
 
 def test_select_family_degenerate_inputs():

@@ -520,18 +520,21 @@ def test_multi_design_designs_a_repeated_tuple_once(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "params, built",
     [
-        (CodeParams(25, 3, 1, 1), 70),
+        (CodeParams(25, 3, 1, 1), 30),
         (CodeParams(19, 4, 2, 2), 11),
         (CodeParams(25, 4, 2, 2), 20),
-        (CodeParams(61, 4, 1, 1), 8),
+        (CodeParams(61, 4, 1, 1), 4),
     ],
 )
 def test_design_builds_each_code_table_once(monkeypatch, params, built):
     """Every table the designer reads is built by its code, once per code.
 
     Extension judges candidates without tables, and graphs key their nodes
-    straight from the differences, so only the members of candidate sets
-    own one: family selection and the guard read them.
+    straight from the differences.  At lambda_c = 1 family selection keys
+    candidate sets by their members' triple keys, so only the codes of the
+    emitted sets own a table, built for the family level and the guard.
+    At lambda_c = 2 it keys 3-entry subsets of table rows, so every member
+    of a candidate set owns one.
     """
     # Holding each argument keeps its id from being reused by a later code.
     seen = []
