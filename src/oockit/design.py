@@ -9,8 +9,9 @@ for membership in the emitted family.  No graph node builds a difference
 table.  At lambda_c = 1 family selection keys candidate sets without
 tables too, so only the codes of the kept sets build one, for the family
 level and the guard; above it every member of a candidate set does, as
-family selection keys its table rows.  Pool codes skip their constructors' checks: extension and
-`_close_pool` meet each rule where they make the value.
+family selection keys its table rows.  Pool codes skip their
+constructors' checks: extension and `_close_pool` meet each rule where
+they make the value.
 """
 
 from __future__ import annotations
