@@ -219,11 +219,12 @@ def _code_keys(code, k: int, n: int | None):
 def _set_keys(codes, k: int, n: int | None) -> list:
     """The keys of a candidate set's members, as one list.
 
-    With a common length, k = 2 reads each member's triple keys and builds
-    no table; otherwise the subsets of the members' table rows are keyed.
+    With a common length, k = 2 reads each member's triple keys through
+    `_code_keys` and builds no table; otherwise the subsets of the
+    members' table rows are keyed.
     """
     if k == 2 and n is not None:
-        return [key for c in codes for key in c._triples]
+        return [key for c in codes for key in _code_keys(c, k, n)]
     return _subset_keys([row for c in codes for row in c.table.rows], k, n)
 
 
