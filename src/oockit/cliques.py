@@ -55,19 +55,21 @@ rule keeps a when b + c <= n + 2a, b when a + c <= 2b and c when
 n + a + b <= 2c: the same anchorings, read off the triple, whichever
 code holds it.  Each kept (s_1, s_2) is keyed as the int s_1 * n + s_2,
 one int per subset at one length.  Groups that mix lengths keep every
-subset.
+subset.  Graphs and families read these same per-code keys: a candidate
+set's keys are its members', so no candidate set builds a table.
 
-`build_graph` keys each code straight from its differences and builds no
-table; it joins the codes that do not clash at the design threshold.
-With one length, threshold 1 reads the folded distances each code
-carries (the designer's codes get them from extension, which has just
-counted every distance) and threshold 2 its triple keys; each code
+`build_graph` and `clique_set_matrix` read the same per-code keys,
+`_code_keys`, straight from each code's differences, and neither builds
+a table.  With one length, threshold 1 reads the folded distances each
+code carries (the designer's codes get them from extension, which has
+just counted every distance) and threshold 2 its triple keys; each code
 computes these once and keeps them.  A higher threshold, or lengths
 that mix, keys the subsets of the rows of each code's closed tuple.
-`clique_set_matrix` keys each candidate set's members and joins the sets
-that do not clash one entry above the stricter of their ceilings: at
-ceiling 1 with one length by the members' triple keys, so a set it
-drops builds no table, and otherwise by the subsets of their table rows.
+`build_graph` joins the codes that do not clash at the design
+threshold.  `clique_set_matrix` keys each candidate set as its members'
+keys in turn and joins the sets that do not clash one entry above the
+stricter of their ceilings, at every ceiling and length, so a set it
+drops builds no table.
 A graph's adjacency is one int mask per node and nothing else: the walk
 scores a node with ``int.bit_count``, and the neighbor sets are only
 read off the masks on request.  A set member builds its table once and
@@ -190,42 +192,34 @@ def _common_length(codes) -> int | None:
     return lengths.pop() if len(lengths) == 1 else None
 
 
-def _subset_keys(rows, k: int, n: int | None):
-    """The keys of the k-entry subsets of table ``rows``, as a list.
-
-    With a common length ``n``, only a subset whose first and last entries
-    sum to at most n is kept, its pattern's canonical anchorings (see the
-    module docstring); with ``n`` None every subset is kept.
-    """
-    subsets = chain.from_iterable(map(combinations, rows, repeat(k)))
-    return list(subsets) if n is None else [s for s in subsets if s[0] + s[-1] <= n]
-
-
 def _code_keys(code, k: int, n: int | None):
     """The keys of a code's closed tuple (a partial code's companion's).
 
-    With a common length, k = 1 reads the folded distances the code
-    carries, set by the designer for its codes, and k = 2 its triple keys;
-    each is computed on first use and kept on the code.  Any other k, or
-    mixed lengths, keys the subsets of the closed tuple's rows.
+    The one key function of both graphs: `build_graph` reads one code's
+    keys, and `clique_set_matrix` a candidate set's as its members' keys
+    one after another.  With a common length ``n``, k = 1 reads the
+    folded distances the code carries, set by the designer for its codes,
+    and k = 2 its triple keys; each is computed on first use and kept on
+    the code.  Any other k keys the k-entry subsets of the rows of the
+    closed tuple, computed from its differences: no table is built.  With
+    a common length only a subset whose first and last entries sum to at
+    most n is kept, its pattern's canonical anchorings (see the module
+    docstring); with ``n`` None every subset is kept.
     """
     if not isinstance(code, PartialDopr) and len(code.dops) < 2:
         raise ValueError("difference tables need weight >= 2")
     if n is not None and k <= 2:
         return code._folded if k == 1 else code._triples
-    return _subset_keys(_anchored_rows(code.closed), k, n)
+    rows = _anchored_rows(code.closed)
+    subsets = chain.from_iterable(map(combinations, rows, repeat(k)))
+    return list(subsets) if n is None else [s for s in subsets if s[0] + s[-1] <= n]
 
 
-def _set_keys(codes, k: int, n: int | None) -> list:
-    """The keys of a candidate set's members, as one list.
-
-    With a common length, k = 2 reads each member's triple keys through
-    `_code_keys` and builds no table; otherwise the subsets of the
-    members' table rows are keyed.
-    """
-    if k == 2 and n is not None:
-        return [key for c in codes for key in _code_keys(c, k, n)]
-    return _subset_keys([row for c in codes for row in c.table.rows], k, n)
+def _check_positive(what: str, value) -> None:
+    """Refuse a ``value`` that is not an integer of at least 1."""
+    _check_integers(what, value)
+    if value < 1:
+        raise ValueError(f"{what} must be at least 1")
 
 
 def build_graph(codes, threshold: int) -> CodeGraph:
@@ -245,9 +239,7 @@ def build_graph(codes, threshold: int) -> CodeGraph:
     2.
     """
     nodes = tuple(codes)
-    _check_integers("threshold", threshold)
-    if threshold < 1:
-        raise ValueError("threshold must be at least 1")
+    _check_positive("threshold", threshold)
     n = _common_length(nodes)
     clashes = _clashes([_code_keys(c, threshold, n) for c in nodes])
     return _clash_complement(nodes, clashes)
@@ -341,7 +333,9 @@ def verify_maximality(members, candidates, threshold: int) -> bool:
     One `interset_crosscorr` call per candidate reads it against the
     members.  Membership is judged by the (dops, n) pair, so candidate
     pools of canonical codes compare cleanly against canonical members.
+    ``threshold`` must be an integer of at least 1, as for `build_graph`.
     """
+    _check_positive("threshold", threshold)
     member_list = list(getattr(members, "codes", members))
     if not member_list:
         raise ValueError("maximality needs a non-empty set")
@@ -412,24 +406,22 @@ def make_clique_set(codes, params: CodeParams) -> CliqueSet:
 def _check_max_sets(max_sets) -> None:
     """Refuse a ``max_sets`` that is given but not a positive integer."""
     if max_sets is not None:
-        _check_integers("max_sets", max_sets)
-        if max_sets < 1:
-            raise ValueError("max_sets must be positive when given")
+        _check_positive("max_sets", max_sets)
 
 
 def clique_set_matrix(cliques) -> CodeGraph:
     """Separation graph of candidate sets, one node per set.
 
     Two sets are joined when their members' rows share no
-    (min(lambda_c of both) + 1)-entry subset.  With one length, ceiling 1
-    reads the members' triple keys and builds no table; any other ceiling,
-    or lengths that mix, keys the subsets of the members' table rows (see
-    the module docstring).  Each set's own
-    ``params.lambda_c`` is its cross ceiling, so a joined pair's inter-set
-    peak is at most the stricter ceiling plus one, the floor forced
-    between distinct maximal cliques.  Each distinct ceiling c judges its
-    own sets at c + 1 entries: they take every clash found there, and
-    every other set takes its clashes with them.  A set of higher ceiling
+    (min(lambda_c of both) + 1)-entry subset.  A set's keys are its
+    members' `_code_keys`, the keys `build_graph` reads, so no candidate
+    set builds a table at any ceiling or length (see the module
+    docstring).  Each set's own ``params.lambda_c`` is its cross ceiling,
+    so a joined pair's inter-set peak is at most the stricter ceiling
+    plus one, the floor forced between distinct maximal cliques.  Each
+    distinct ceiling c judges its own sets at c + 1 entries: they take
+    every clash found there, and every other set takes its clashes with
+    them.  A set of higher ceiling
     needs those, since its own level would miss them; for a set of lower
     ceiling they repeat clashes its own level already found, as sharing
     c + 1 entries implies sharing fewer.
@@ -439,7 +431,9 @@ def clique_set_matrix(cliques) -> CodeGraph:
     n = _common_length(c for s in items for c in s.codes)
     clash = [0] * len(items)
     for c in set(ceilings):
-        level = _clashes([_set_keys(s.codes, c + 1, n) for s in items])
+        level = _clashes(
+            [[key for m in s.codes for key in _code_keys(m, c + 1, n)] for s in items]
+        )
         judged = sum(1 << i for i, ci in enumerate(ceilings) if ci == c)
         for i, ci in enumerate(ceilings):
             clash[i] |= level[i] if ci == c else level[i] & judged

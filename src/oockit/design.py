@@ -6,12 +6,11 @@ cliques, and grows every clique member by one more difference.  Once a
 single free position remains, the length forces the closing difference,
 and the cliques of the last graph, on complete canonical codes, compete
 for membership in the emitted family.  No graph node builds a difference
-table.  At lambda_c = 1 family selection keys candidate sets without
-tables too, so only the codes of the kept sets build one, for the family
-level and the guard; above it every member of a candidate set does, as
-family selection keys its table rows.  Pool codes skip their
-constructors' checks: extension and `_close_pool` meet each rule where
-they make the value.
+table.  Family selection keys candidate sets by the same per-code keys,
+at every ceiling, so no candidate set builds one either: only the codes
+of the kept sets do, for the family level and the guard.  Pool codes
+skip their constructors' checks: extension and `_close_pool` meet each
+rule where they make the value.
 """
 
 from __future__ import annotations

@@ -131,6 +131,23 @@ def test_build_graph_rejects_thresholds_that_are_not_integers(threshold):
         build_graph(classes_as_codes(7, 3), threshold)
 
 
+@pytest.mark.parametrize(
+    "threshold,message",
+    [
+        (0, "at least 1"),
+        (-3, "at least 1"),
+        (True, "an integer"),
+        (1.5, "an integer"),
+    ],
+)
+def test_verify_maximality_refuses_what_build_graph_refuses(threshold, message):
+    members, pool = [Dopr((1, 2, 4), 7)], classes_as_codes(7, 3)
+    with pytest.raises(ValueError, match=f"threshold must be {message}"):
+        verify_maximality(members, pool, threshold)
+    with pytest.raises(ValueError, match=f"threshold must be {message}"):
+        build_graph(pool, threshold)
+
+
 @pytest.mark.parametrize("threshold", [1, 2])
 def test_build_graph_refuses_weight_one_codes(threshold):
     with pytest.raises(ValueError, match="weight >= 2"):
@@ -332,13 +349,48 @@ def test_select_family_keeps_separated_sets():
     assert family.interset_lambda == 2
 
 
-def test_select_family_at_ceiling_one_builds_only_the_kept_sets_tables(monkeypatch):
-    """Candidate sets at lambda_c = 1 are keyed by their members' triple
-    keys; only the kept sets' codes build tables, for the family level."""
-    params = CodeParams(25, 3, 1, 1)
-    x, y, z = Dopr((1, 2, 22), 25), Dopr((3, 5, 17), 25), Dopr((4, 6, 15), 25)
-    x_again = Dopr((2, 22, 1), 25)  # x rotated: the two sets clash
-    sets = [CliqueSet(c, params, 0, 0, 0) for c in ((x, y), (x_again,), (z,))]
+@pytest.mark.parametrize(
+    "params,x,y,x_again,z",
+    [
+        (
+            (CodeParams(25, 3, 1, 1),) * 2,
+            (1, 2, 22),
+            (3, 5, 17),
+            (2, 22, 1),
+            (4, 6, 15),
+        ),
+        (
+            (CodeParams(25, 4, 1, 2),) * 2,
+            (1, 2, 4, 18),
+            (3, 5, 9, 8),
+            (2, 4, 18, 1),
+            (6, 7, 2, 10),
+        ),
+        (
+            (CodeParams(25, 3, 1, 1), CodeParams(31, 3, 1, 1)),
+            (1, 2, 22),
+            (3, 5, 17),
+            (2, 22, 1),
+            (4, 6, 21),
+        ),
+    ],
+    ids=["ceiling-1", "ceiling-2", "mixed-lengths"],
+)
+def test_select_family_builds_only_the_kept_sets_tables(
+    monkeypatch, params, x, y, x_again, z
+):
+    """Candidate sets are keyed by their members' per-code keys at every
+    ceiling and length; only the kept sets' codes build tables, for the
+    family level."""
+    first, last = params
+    # x_again is x rotated, so their two sets clash.
+    x, y, x_again = (Dopr(d, first.n) for d in (x, y, x_again))
+    z = Dopr(z, last.n)
+    sets = [
+        CliqueSet((x, y), first, 0, 0, 0),
+        CliqueSet((x_again,), first, 0, 0, 0),
+        CliqueSet((z,), last, 0, 0, 0),
+    ]
     built = []
 
     def counted(code):

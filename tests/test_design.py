@@ -524,17 +524,15 @@ def test_multi_design_designs_a_repeated_tuple_once(monkeypatch, capsys):
         (CodeParams(19, 4, 2, 2), 11),
         (CodeParams(25, 4, 2, 2), 20),
         (CodeParams(61, 4, 1, 1), 4),
+        (CodeParams(25, 4, 1, 2), 84),
     ],
 )
 def test_design_builds_each_code_table_once(monkeypatch, params, built):
-    """Every table the designer reads is built by its code, once per code.
+    """Only the codes of emitted sets build a table, once each, at every ceiling.
 
-    Extension judges candidates without tables, and graphs key their nodes
-    straight from the differences.  At lambda_c = 1 family selection keys
-    candidate sets by their members' triple keys, so only the codes of the
-    emitted sets own a table, built for the family level and the guard.
-    At lambda_c = 2 it keys 3-entry subsets of table rows, so every member
-    of a candidate set owns one.
+    Extension, graphs and family selection all key codes straight from
+    their differences; the emitted codes build theirs for the family level
+    and the guard, so ``built`` is the number of codes the design emits.
     """
     # Holding each argument keeps its id from being reused by a later code.
     seen = []
@@ -555,8 +553,9 @@ def test_design_builds_each_code_table_once(monkeypatch, params, built):
 
     monkeypatch.setattr(codes, "edop_full", counted(codes.edop_full))
     monkeypatch.setattr("oockit.design.build_graph", graphed)
-    design_fixed(params)
+    family = design_fixed(params)
     assert len({id(code) for code in seen}) == len(seen) == built
+    assert built == sum(len(s.codes) for s in family.sets)
     assert in_graphs and not any(in_graphs)
 
 
