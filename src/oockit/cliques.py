@@ -26,50 +26,22 @@ less that set, and reach the same member set.
 One rule splits the table work: subset keys decide edges, and
 `correlation._row_overlaps` measures levels.  `build_graph` and
 `clique_set_matrix` ask one yes-or-no question per pair, at one
-threshold k.  Two codes' cross correlation exceeds k exactly when they
-share a (k+1)-point pattern of one-bits, that is, when a row of one
-table shares k entries with a row of the other: each k-entry subset of a
-row is the pattern anchored at the row's one-bit.  `_clashes` ORs each
+threshold k: do the two share a (k+1)-point pattern of one-bits?  Each
+code keys its own patterns (`codes._DifferenceForm._pattern_keys`; the
+`codes` module docstring states the rule), and `_clashes` ORs each
 group's bit (a list of hashable keys per code or candidate set) into a
 dict from key to its owners' bitset: a group's clashing groups are the
-union of its keys' owners, a few ints.  A level has no one threshold,
-and keying every k up to it would take C(w - 1, k) subsets per row, so
-levels are read off the row bitsets of `_row_overlaps`, at most
-(w - 1)^2 int operations per table row: the guard's (`make_clique_set`)
-and verify's each off one index, the family's (`select_family`) through
-`correlation.interset_crosscorr`.
+union of its keys' owners, a few ints.  `build_graph` joins the codes
+that do not clash at the design threshold.  `clique_set_matrix` keys
+each candidate set as its members' keys in turn and joins the sets that
+do not clash one entry above the stricter of their ceilings, at every
+ceiling and length, so a set it drops builds no table.  A level has no
+one threshold, and keying every k up to it would take C(w - 1, k)
+subsets per row, so levels are read off the row bitsets of
+`_row_overlaps`, at most (w - 1)^2 int operations per table row: the
+guard's (`make_clique_set`) and verify's each off one index, the
+family's (`select_family`) through `correlation.interset_crosscorr`.
 
-One anchoring per pattern is enough when every group shares one length
-n.  Anchor a pattern at one of its points a: the gap after a is the
-subset's first entry s_1, the gap before it n - s_k.  Keep the anchoring
-when s_1 + s_k <= n, the gap after no larger than the gap before.  Some
-point of every pattern passes: were each gap larger than the one before
-it, the gaps would increase all the way round the cycle.  And the rule
-reads only the gaps, so two codes that share a pattern keep the same
-anchorings of it: they share a kept key exactly when they share any
-key.  At k = 1 the rule keeps min(d, n - d) for each pair of one-bits,
-its folded distance, keyed as a plain int.  At k = 2 a pattern is a
-triple of one-bits a < b < c, and its rows' subsets are (b - a, c - a)
-at a, (c - b, n - b + a) at b and (n - c + a, n - c + b) at c, so the
-rule keeps a when b + c <= n + 2a, b when a + c <= 2b and c when
-n + a + b <= 2c: the same anchorings, read off the triple, whichever
-code holds it.  Each kept (s_1, s_2) is keyed as the int s_1 * n + s_2,
-one int per subset at one length.  Groups that mix lengths keep every
-subset.  Graphs and families read these same per-code keys: a candidate
-set's keys are its members', so no candidate set builds a table.
-
-`build_graph` and `clique_set_matrix` read the same per-code keys,
-`_code_keys`, straight from each code's differences, and neither builds
-a table.  With one length, threshold 1 reads the folded distances each
-code carries (the designer's codes get them from extension, which has
-just counted every distance) and threshold 2 its triple keys; each code
-computes these once and keeps them.  A higher threshold, or lengths
-that mix, keys the subsets of the rows of each code's closed tuple.
-`build_graph` joins the codes that do not clash at the design
-threshold.  `clique_set_matrix` keys each candidate set as its members'
-keys in turn and joins the sets that do not clash one entry above the
-stricter of their ceilings, at every ceiling and length, so a set it
-drops builds no table.
 A graph's adjacency is one int mask per node and nothing else: the walk
 scores a node with ``int.bit_count``, and the neighbor sets are only
 read off the masks on request.  A set member builds its table once and
@@ -84,12 +56,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, compress, repeat
+from itertools import compress
 from operator import or_
 
-from .codes import CodeParams, Dopr, PartialDopr
+from .codes import CodeParams, Dopr
 from .correlation import _row_overlaps, interset_crosscorr, johnson_bound
-from .edop import _anchored_rows, _check_integers, _settled
+from .edop import _check_integers, _settled
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
 # two names on this module, so they must stay importable from it.
@@ -186,33 +158,9 @@ def _clash_complement(nodes: tuple, clashes) -> CodeGraph:
     return _settled(CodeGraph, nodes=nodes, masks=masks)
 
 
-def _common_length(codes) -> int | None:
-    """The length every code shares, or None when lengths mix."""
-    lengths = {c.n for c in codes}
-    return lengths.pop() if len(lengths) == 1 else None
-
-
-def _code_keys(code, k: int, n: int | None):
-    """The keys of a code's closed tuple (a partial code's companion's).
-
-    The one key function of both graphs: `build_graph` reads one code's
-    keys, and `clique_set_matrix` a candidate set's as its members' keys
-    one after another.  With a common length ``n``, k = 1 reads the
-    folded distances the code carries, set by the designer for its codes,
-    and k = 2 its triple keys; each is computed on first use and kept on
-    the code.  Any other k keys the k-entry subsets of the rows of the
-    closed tuple, computed from its differences: no table is built.  With
-    a common length only a subset whose first and last entries sum to at
-    most n is kept, its pattern's canonical anchorings (see the module
-    docstring); with ``n`` None every subset is kept.
-    """
-    if not isinstance(code, PartialDopr) and len(code.dops) < 2:
-        raise ValueError("difference tables need weight >= 2")
-    if n is not None and k <= 2:
-        return code._folded if k == 1 else code._triples
-    rows = _anchored_rows(code.closed)
-    subsets = chain.from_iterable(map(combinations, rows, repeat(k)))
-    return list(subsets) if n is None else [s for s in subsets if s[0] + s[-1] <= n]
+def _one_length(codes) -> bool:
+    """Whether every code shares one length."""
+    return len({c.n for c in codes}) == 1
 
 
 def _check_positive(what: str, value) -> None:
@@ -228,20 +176,15 @@ def build_graph(codes, threshold: int) -> CodeGraph:
     That is, the two codes share no (``threshold`` + 1)-point pattern of
     one-bits: no row of one table shares ``threshold`` entries with a row
     of the other.  Every code is read through its closed tuple, so a
-    partial code stands for its closed companion.  Each code is keyed
-    straight from its differences and builds no table.  When all codes
-    share one length, it is keyed by the canonical anchorings of its
-    patterns (see the module docstring): at threshold 1 its folded
-    distances and at threshold 2 its triple keys, both kept on the code,
-    and above that the kept subsets of its rows.  When lengths mix, it is
-    keyed by every ``threshold``-entry subset of its rows.  ``threshold``
-    must be a positive integer, and every code must have weight at least
-    2.
+    partial code stands for its closed companion.  Each code is keyed by
+    its `_pattern_keys` at ``threshold`` and builds no table.
+    ``threshold`` must be a positive integer, and every code must have
+    weight at least 2.
     """
     nodes = tuple(codes)
     _check_positive("threshold", threshold)
-    n = _common_length(nodes)
-    clashes = _clashes([_code_keys(c, threshold, n) for c in nodes])
+    one = _one_length(nodes)
+    clashes = _clashes([c._pattern_keys(threshold, one) for c in nodes])
     return _clash_complement(nodes, clashes)
 
 
@@ -414,25 +357,27 @@ def clique_set_matrix(cliques) -> CodeGraph:
 
     Two sets are joined when their members' rows share no
     (min(lambda_c of both) + 1)-entry subset.  A set's keys are its
-    members' `_code_keys`, the keys `build_graph` reads, so no candidate
-    set builds a table at any ceiling or length (see the module
-    docstring).  Each set's own ``params.lambda_c`` is its cross ceiling,
-    so a joined pair's inter-set peak is at most the stricter ceiling
-    plus one, the floor forced between distinct maximal cliques.  Each
-    distinct ceiling c judges its own sets at c + 1 entries: they take
-    every clash found there, and every other set takes its clashes with
-    them.  A set of higher ceiling
-    needs those, since its own level would miss them; for a set of lower
-    ceiling they repeat clashes its own level already found, as sharing
-    c + 1 entries implies sharing fewer.
+    members' `_pattern_keys`, the keys `build_graph` reads, so no
+    candidate set builds a table.  Each set's own ``params.lambda_c`` is
+    its cross ceiling, so a joined pair's inter-set peak is at most the
+    stricter ceiling plus one, the floor forced between distinct maximal
+    cliques.  Each distinct ceiling c judges its own sets at c + 1
+    entries: they take every clash found there, and every other set takes
+    its clashes with them.  A set of higher ceiling needs those, since its
+    own level would miss them; for a set of lower ceiling they repeat
+    clashes its own level already found, as sharing c + 1 entries implies
+    sharing fewer.
     """
     items = tuple(cliques)
     ceilings = [s.params.lambda_c for s in items]
-    n = _common_length(c for s in items for c in s.codes)
+    one = _one_length(c for s in items for c in s.codes)
     clash = [0] * len(items)
     for c in set(ceilings):
         level = _clashes(
-            [[key for m in s.codes for key in _code_keys(m, c + 1, n)] for s in items]
+            [
+                [key for m in s.codes for key in m._pattern_keys(c + 1, one)]
+                for s in items
+            ]
         )
         judged = sum(1 << i for i, ci in enumerate(ceilings) if ci == c)
         for i, ci in enumerate(ceilings):

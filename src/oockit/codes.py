@@ -15,21 +15,41 @@ so canonicalizing a code means picking a distinguished rotation: the one
 whose last difference is maximal, breaking ties by the lexicographically
 smallest leading block.  Everything the designer enumerates lives in that
 canonical space.
+
+A code also keys its own (k+1)-point patterns of one-bits, the keys
+`cliques.build_graph` and `cliques.clique_set_matrix` compare: two codes
+correlate above k exactly when they share such a pattern, that is, when
+a row of one difference table shares k entries with a row of the other.
+Each k-entry subset of a row is the pattern anchored at the row's
+one-bit, and `_DifferenceForm._pattern_keys` reads these subsets
+straight from the differences, building no table.
+
+One anchoring per pattern is enough when every code compared shares one
+length n.  Anchor a pattern at one of its points a: the gap after a is
+the subset's first entry s_1, the gap before it n - s_k.  Keep the
+anchoring when s_1 + s_k <= n, the gap after no larger than the gap
+before.  Some point of every pattern passes: were each gap larger than
+the one before it, the gaps would increase all the way round the cycle.
+And the rule reads only the gaps, so two codes that share a pattern keep
+the same anchorings of it: they share a kept key exactly when they share
+any key.  At k = 1 the rule keeps min(d, n - d) for each pair of
+one-bits, its folded distance, keyed as a plain int.  At k = 2 a pattern
+is a triple of one-bits a < b < c, and its rows' subsets are
+(b - a, c - a) at a, (c - b, n - b + a) at b and (n - c + a, n - c + b)
+at c, so the rule keeps a when b + c <= n + 2a, b when a + c <= 2b and c
+when n + a + b <= 2c: the same anchorings, read off the triple, whichever
+code holds it.  Each kept (s_1, s_2) is keyed as the int s_1 * n + s_2,
+one int per subset at one length.  Codes of mixed lengths keep every
+subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, combinations, repeat
 
-from .edop import (
-    EdopMatrix,
-    _check_integers,
-    _folded_distances,
-    _triple_keys,
-    edop_full,
-)
+from .edop import EdopMatrix, _anchored_rows, _check_integers, edop_full
 
 __all__ = [
     "CodeParams",
@@ -114,6 +134,37 @@ class Wpr:
         return len(self.positions)
 
 
+def _folded_distances(dops: tuple[int, ...], n: int) -> list[int]:
+    """min(d, n - d) for each pair of one-bits of the closed code ``dops``.
+
+    The table lists each pair's distance both ways, as d and n - d, so
+    these C(w, 2) ints are its entries e with 2e <= n, one per pair.
+    """
+    pos = list(accumulate(dops[:-1], initial=0))
+    return [
+        d if d + d <= n else n - d
+        for i, p in enumerate(pos)
+        for d in map(p.__rsub__, pos[i + 1 :])
+    ]
+
+
+def _triple_keys(dops: tuple[int, ...], n: int) -> list[int]:
+    """The threshold-2 keys of the closed code ``dops``, as ints: each kept
+    anchoring of each triple of one-bits (see the module docstring), its
+    subset (s_1, s_2) keyed as s_1 * n + s_2."""
+    pos = list(accumulate(dops[:-1], initial=0))
+    keys: list[int] = []
+    add = keys.append
+    for a, b, c in combinations(pos, 3):
+        if b + c <= n + a + a:
+            add((b - a) * n + c - a)
+        if a + c <= b + b:
+            add((c - b) * n + n - b + a)
+        if n + a + b <= c + c:
+            add((n - c + a) * n + n - c + b)
+    return keys
+
+
 class _DifferenceForm:
     """A complete or partial difference form, read through ``closed``: the
     difference tuple of the complete code it stands for."""
@@ -129,16 +180,38 @@ class _DifferenceForm:
 
     @cached_property
     def _folded(self) -> tuple[int, ...]:
-        """The closed tuple's min(d, n - d) per pair of one-bits, the keys
-        `build_graph` reads; the designer sets them on the codes it makes."""
+        """The closed tuple's min(d, n - d) per pair of one-bits, its k = 1
+        pattern keys; the designer sets them on the codes it makes."""
         return tuple(_folded_distances(self.closed, self.n))
 
     @cached_property
     def _triples(self) -> tuple[int, ...]:
-        """The closed tuple's threshold-2 keys at its length, one int per
-        kept anchoring of each triple of one-bits (`edop._triple_keys`);
-        `build_graph` and `clique_set_matrix` read them."""
+        """The closed tuple's k = 2 pattern keys at its length."""
         return tuple(_triple_keys(self.closed, self.n))
+
+    def _pattern_keys(self, k: int, one_length: bool):
+        """The keys of the closed tuple's (k+1)-point patterns of one-bits.
+
+        The one key rule of both graphs (see the module docstring).  When
+        every code compared has this code's length (``one_length``), each
+        pattern keeps its canonical anchorings: at k = 1 the folded
+        distances and at k = 2 the triple keys, each computed on first
+        use and kept, and above that the row subsets with s_1 + s_k <= n.
+        Otherwise every k-entry subset of every row is a key.  The closed
+        tuple must have weight at least 2.
+        """
+        # A partial code's closed tuple has weight u + 1 >= 2; testing
+        # ``closed`` instead would build that tuple on every call.
+        if len(self.dops) < 2 and not isinstance(self, PartialDopr):
+            raise ValueError("difference tables need weight >= 2")
+        if one_length and k <= 2:
+            return self._folded if k == 1 else self._triples
+        rows = _anchored_rows(self.closed)
+        subsets = chain.from_iterable(map(combinations, rows, repeat(k)))
+        if not one_length:
+            return list(subsets)
+        n = self.n
+        return [s for s in subsets if s[0] + s[-1] <= n]
 
 
 @dataclass(frozen=True)

@@ -218,8 +218,6 @@ def design_fixed(params: CodeParams, max_sets: int | None = None) -> Family:
     stage and the sets finally emitted.
     """
     _check_max_sets(max_sets)
-    if params.w < 3:
-        raise ValueError("the designer needs weight at least 3")
     first = enumerate_first_pairs(params)
 
     # Each candidate is a plain namespace of its codes, in canonical order,

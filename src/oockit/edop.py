@@ -17,7 +17,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # annotations only: codes imports this module at run time
@@ -104,41 +104,6 @@ def _anchored_rows(dops: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     w = len(dops)
     doubled = dops + dops
     return tuple(tuple(accumulate(doubled[j : j + w - 1])) for j in range(w))
-
-
-def _folded_distances(dops: tuple[int, ...], n: int) -> list[int]:
-    """min(d, n - d) for each pair of one-bits of the closed code ``dops``.
-
-    The table lists each pair's distance both ways, as d and n - d, so
-    these C(w, 2) ints are its entries e with 2e <= n, one per pair.
-    """
-    pos = list(accumulate(dops[:-1], initial=0))
-    return [
-        d if d + d <= n else n - d
-        for i, p in enumerate(pos)
-        for d in map(p.__rsub__, pos[i + 1 :])
-    ]
-
-
-def _triple_keys(dops: tuple[int, ...], n: int) -> list[int]:
-    """The threshold-2 keys of the closed code ``dops``, as ints.
-
-    For one-bit positions a < b < c, anchoring a reads the row subset
-    (b - a, c - a), anchoring b reads (c - b, n - b + a) and anchoring c
-    reads (n - c + a, n - c + b); each (s_1, s_2) with s_1 + s_2 <= n is
-    kept as s_1 * n + s_2, which is one int per subset at one length n.
-    """
-    pos = list(accumulate(dops[:-1], initial=0))
-    keys: list[int] = []
-    add = keys.append
-    for a, b, c in combinations(pos, 3):
-        if b + c <= n + a + a:
-            add((b - a) * n + c - a)
-        if a + c <= b + b:
-            add((c - b) * n + n - b + a)
-        if n + a + b <= c + c:
-            add((n - c + a) * n + n - c + b)
-    return keys
 
 
 def _settled(cls, **fields):

@@ -148,10 +148,27 @@ def test_verify_maximality_refuses_what_build_graph_refuses(threshold, message):
         build_graph(pool, threshold)
 
 
-@pytest.mark.parametrize("threshold", [1, 2])
+@pytest.mark.parametrize("threshold", [1, 2, 3])
 def test_build_graph_refuses_weight_one_codes(threshold):
+    """Every key branch refuses: one length at each threshold, and mixed
+    lengths."""
     with pytest.raises(ValueError, match="weight >= 2"):
         build_graph([Dopr((7,), 7)], threshold)
+    with pytest.raises(ValueError, match="weight >= 2"):
+        build_graph([Dopr((7,), 7), Dopr((1, 2, 5), 8)], threshold)
+
+
+def test_clique_set_matrix_refuses_weight_one_members():
+    params = CodeParams(7, 3, 1, 1)
+    with pytest.raises(ValueError, match="weight >= 2"):
+        clique_set_matrix([CliqueSet((Dopr((7,), 7),), params, 0, 0, 0)])
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 3])
+def test_build_graph_keys_one_difference_partial_codes(threshold):
+    """A u = 1 partial code stands for its weight-2 companion (3, 4)."""
+    graph = build_graph([PartialDopr((3,), 7, 3)], threshold)
+    assert graph.masks == (0,)
 
 
 @pytest.mark.parametrize(

@@ -26,8 +26,9 @@ from oockit import (
 )
 
 from oockit import codes
+from oockit.codes import _folded_distances, _triple_keys
 
-from oracles import all_subsets, gaps_of
+from oracles import all_subsets, anchored_difference_table, gaps_of, rotation_classes
 
 
 class I(int):
@@ -348,3 +349,56 @@ def test_every_standard_form_respects_the_published_ranges():
                     assert d <= max_difference_at(n, w, i)
                 lo, hi = last_difference_range(n, w)
                 assert lo <= dops[-1] <= hi
+
+
+def test_folded_distances_are_the_table_entries_up_to_half_the_length():
+    """One min(d, n - d) per pair of one-bits: the entries e with 2e <= n."""
+    for n in range(3, 13):
+        for w in range(2, min(6, n) + 1):
+            for positions in all_subsets(n, w):
+                dops = gaps_of(positions, n)
+                folded = _folded_distances(dops, n)
+                assert sorted(folded) == sorted(
+                    min((q - p) % n, (p - q) % n)
+                    for p, q in itertools.combinations(positions, 2)
+                )
+                assert set(folded) == {
+                    e for row in anchored_difference_table(dops) for e in row
+                    if e + e <= n
+                }
+
+
+def test_triple_keys_are_the_kept_pairs_of_row_entries():
+    """One s_1 * n + s_2 per pair s_1 < s_2 of a row's entries with
+    s_1 + s_2 <= n, each as often as the table holds it."""
+    for n in range(3, 13):
+        for w in range(2, min(6, n) + 1):
+            for positions in all_subsets(n, w):
+                dops = gaps_of(positions, n)
+                assert sorted(_triple_keys(dops, n)) == sorted(
+                    s * n + t
+                    for row in anchored_difference_table(dops)
+                    for s, t in itertools.combinations(row, 2)
+                    if s + t <= n
+                )
+
+
+def test_pattern_keys_are_the_row_subsets_at_every_k():
+    """Without one length every k-subset of every row is a key; with one,
+    above k = 2, the subsets with s_1 + s_k <= n, each as often as the
+    table holds it."""
+    for n in range(3, 13):
+        for w in range(2, min(6, n) + 1):
+            for positions in rotation_classes(n, w):
+                dops = gaps_of(positions, n)
+                code = Dopr(dops, n)
+                rows = anchored_difference_table(dops)
+                for k in range(1, w):
+                    subsets = sorted(
+                        s for row in rows for s in itertools.combinations(row, k)
+                    )
+                    assert sorted(code._pattern_keys(k, False)) == subsets
+                    if k >= 3:
+                        assert sorted(code._pattern_keys(k, True)) == [
+                            s for s in subsets if s[0] + s[-1] <= n
+                        ]

@@ -35,7 +35,7 @@ from oockit import (
 
 from oockit import codes
 from oockit.cli import main
-from oockit.edop import _folded_distances
+from oockit.codes import _folded_distances
 
 from oracles import (
     companion_positions,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +21,7 @@ from oockit import (
     zero_augment,
 )
 from oockit.correlation import _as_matrix
-from oockit.edop import _check_integers, _folded_distances, _triple_keys
+from oockit.edop import _check_integers
 
 from oracles import all_subsets, anchored_difference_table, gaps_of
 
@@ -48,38 +47,6 @@ def test_full_table_matches_oracle_exhaustively():
                 dops = gaps_of(positions, n)
                 assert edop_full(Dopr(dops, n)).rows == anchored_difference_table(
                     dops
-                )
-
-
-def test_folded_distances_are_the_table_entries_up_to_half_the_length():
-    """One min(d, n - d) per pair of one-bits: the entries e with 2e <= n."""
-    for n in range(3, 13):
-        for w in range(2, min(6, n) + 1):
-            for positions in all_subsets(n, w):
-                dops = gaps_of(positions, n)
-                folded = _folded_distances(dops, n)
-                assert sorted(folded) == sorted(
-                    min((q - p) % n, (p - q) % n)
-                    for p, q in combinations(positions, 2)
-                )
-                assert set(folded) == {
-                    e for row in anchored_difference_table(dops) for e in row
-                    if e + e <= n
-                }
-
-
-def test_triple_keys_are_the_kept_pairs_of_row_entries():
-    """One s_1 * n + s_2 per pair s_1 < s_2 of a row's entries with
-    s_1 + s_2 <= n, each as often as the table holds it."""
-    for n in range(3, 13):
-        for w in range(2, min(6, n) + 1):
-            for positions in all_subsets(n, w):
-                dops = gaps_of(positions, n)
-                assert sorted(_triple_keys(dops, n)) == sorted(
-                    s * n + t
-                    for row in anchored_difference_table(dops)
-                    for s, t in combinations(row, 2)
-                    if s + t <= n
                 )
 
 
