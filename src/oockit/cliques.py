@@ -305,11 +305,11 @@ class CliqueSet:
 def make_clique_set(codes, params: CodeParams) -> CliqueSet:
     """Assemble and re-verify a clique of complete codes.
 
-    The designer's guard: `design_fixed` leaves its candidate sets
+    The designer's guard: `design_multi` leaves its candidate sets
     unverified and assembles only the sets its family keeps through this
-    function, so every emitted set passes here.  Anything but a complete
-    code (`Dopr`) is refused with a `TypeError`.  Codes are sorted
-    canonically.  Self correlations and pairwise cross correlations are
+    function, once each, so every emitted set passes here.  Anything but
+    a complete code (`Dopr`) is refused with a `TypeError`.  Codes are
+    sorted canonically.  Self correlations and pairwise cross correlations are
     recomputed by the table route and checked against the parameters; a
     singleton records a pairwise value of 0 since it has no pairs.  The
     cardinality bound is recorded, and enforced when the two correlation
@@ -393,19 +393,13 @@ class Family:
     interset_lambda: int
 
 
-def select_family(cliques, max_sets: int | None = None) -> Family:
-    """Keep a greedy clique of candidate sets under the separation rule.
+def _separated(cliques, max_sets: int | None) -> tuple:
+    """The sets `select_family` keeps, without their family level.
 
     The degree-greedy walk over the separation graph (see
-    `clique_set_matrix`) picks the family.  The chosen sets are sorted
-    canonically and the first ``max_sets`` kept.  The family level is
-    `interset_crosscorr` of the kept sets, the read `verify_document`
-    makes for family separation; fewer than two kept sets record 0.  A set
-    is read only through its ``codes``, in canonical order, and its
-    ``params``, so the designer passes unverified candidates and guards
-    the kept ones afterwards.
+    `clique_set_matrix`) picks them, sorted canonically and the first
+    ``max_sets`` kept.
     """
-    _check_max_sets(max_sets)
     graph = clique_set_matrix(cliques)
     items = graph.nodes
     chosen = sorted(
@@ -414,5 +408,17 @@ def select_family(cliques, max_sets: int | None = None) -> Family:
             items[i].params.n, items[i].params.w, [c.dops for c in items[i].codes], i
         ),
     )[:max_sets]
-    kept = tuple(items[i] for i in chosen)
+    return tuple(items[i] for i in chosen)
+
+
+def select_family(cliques, max_sets: int | None = None) -> Family:
+    """Keep a greedy clique of candidate sets (`_separated`) and its level.
+
+    The family level is `interset_crosscorr` of the kept sets, the read
+    `verify_document` makes for family separation; fewer than two kept
+    sets record 0.  A set is read only through its ``codes``, in canonical
+    order, and its ``params``, so candidates may be unverified.
+    """
+    _check_max_sets(max_sets)
+    kept = _separated(cliques, max_sets)
     return Family(kept, interset_crosscorr(*kept) if len(kept) > 1 else 0)

@@ -8,7 +8,8 @@ and the cliques of the last graph, on complete canonical codes, compete
 for membership in the emitted family.  No graph node builds a difference
 table.  Family selection keys candidate sets by the same per-code keys,
 at every ceiling, so no candidate set builds one either: only the codes
-of the kept sets do, for the family level and the guard.  Pool codes
+of the kept sets do, for the family level and the guard, which every
+design, of one tuple or a merge, runs once in `design_multi`.  Pool codes
 skip their constructors' checks: extension and `_close_pool` meet each
 rule where they make the value.
 """
@@ -23,6 +24,7 @@ from types import SimpleNamespace
 from .cliques import (
     Family,
     _check_max_sets,
+    _separated,
     build_graph,
     enumerate_cliques,
     make_clique_set,
@@ -115,7 +117,7 @@ def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
     A repeated parent is extended once, and parents of one length in
     strictly increasing ``dops`` order yield children in that order, as a
     child's tuple starts with its parent's.  The opening singletons come
-    in that order, and `design_fixed` extends each clique's members in
+    in that order, and `_candidates` extends each clique's members in
     pool order, so every pool it builds is sorted without a sort.
     """
     n, w, lam = params.n, params.w, params.lambda_a
@@ -170,11 +172,8 @@ _extend = extend_clique_codes
 
 def _capped(cliques, max_sets: int | None):
     """Keep the largest cliques, earliest-found first on ties."""
-    if max_sets is None or len(cliques) <= max_sets:
-        return cliques
-    ranked = sorted(range(len(cliques)), key=lambda i: (-len(cliques[i]), i))
-    keep = sorted(ranked[:max_sets])
-    return tuple(cliques[i] for i in keep)
+    ranked = sorted(range(len(cliques)), key=lambda i: -len(cliques[i]))
+    return [cliques[i] for i in sorted(ranked[:max_sets])]
 
 
 def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
@@ -206,24 +205,14 @@ def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
     return tuple(kept.values())
 
 
-def design_fixed(params: CodeParams, max_sets: int | None = None) -> Family:
-    """Design a family of code sets for a single parameter tuple.
+def _candidates(params: CodeParams, max_sets: int | None) -> tuple:
+    """One tuple's candidate sets, the cliques of its last graph, once each.
 
-    Each clique of the last graph is a candidate, kept once per set of
-    codes and left unverified: family selection reads only its codes'
-    tables and its tuple.  Only the sets the family keeps go through
-    `make_clique_set`, so every emitted set is guarded.  An empty family
-    means the search found no conforming set for these parameters, not an
-    error.  ``max_sets`` caps both the cliques carried forward at each
-    stage and the sets finally emitted.
+    A candidate is unverified: a namespace of its codes, in canonical
+    order, and its tuple, all that family selection reads.
     """
-    _check_max_sets(max_sets)
-    first = enumerate_first_pairs(params)
-
-    # Each candidate is a plain namespace of its codes, in canonical order,
-    # and its tuple: all that family selection reads.
-    candidates: dict[tuple, SimpleNamespace] = {}
-    pools = deque([first])
+    found: dict[tuple, tuple] = {}
+    pools = deque([enumerate_first_pairs(params)])
     while pools:
         pool = pools.popleft()
         if not pool:
@@ -234,33 +223,36 @@ def design_fixed(params: CodeParams, max_sets: int | None = None) -> Family:
         graph = build_graph(pool, params.lambda_c)
         for clique in _capped(enumerate_cliques(graph), max_sets):
             members = tuple(pool[i] for i in sorted(clique))
-            if not final:
+            if final:
+                codes = tuple(sorted(members, key=lambda c: c.dops))
+                found.setdefault(tuple(c.dops for c in codes), codes)
+            else:
                 pools.append(extend_clique_codes(members, params))
-                continue
-            codes = tuple(sorted(members, key=lambda c: c.dops))
-            key = tuple(c.dops for c in codes)
-            if key not in candidates:
-                candidates[key] = SimpleNamespace(codes=codes, params=params)
-    family = select_family(tuple(candidates.values()), max_sets)
-    return Family(
-        tuple(make_clique_set(c.codes, c.params) for c in family.sets),
-        family.interset_lambda,
-    )
+    return tuple(SimpleNamespace(codes=c, params=params) for c in found.values())
+
+
+def design_fixed(params: CodeParams, max_sets: int | None = None) -> Family:
+    """The `design_multi` family of one parameter tuple."""
+    return design_multi(DesignConfig((params,), max_sets))
 
 
 def design_multi(config: DesignConfig) -> Family:
-    """Design every parameter tuple, then select one family from the union.
+    """Design one family over the parameter tuples, each designed once.
 
-    Each tuple's family is designed on its own; all of their sets then
-    compete in one `select_family` call, where two sets are compatible
-    when their inter-set peak is at most the stricter of their two cross
-    ceilings plus one.  A repeated tuple is designed once, in first-seen
-    order, so it adds no second copy of its sets to the merge.
-    ``max_sets`` caps each tuple's family and the merged one.
+    One tuple's candidates go straight to `select_family`.  A merge first
+    narrows each tuple to its own family (`cliques._separated`), and one
+    `select_family` call then chooses among all those sets.  Only the
+    kept sets are guarded by `make_clique_set`, and only their codes
+    build tables.  An empty family means the search found no conforming
+    set, not an error.  ``max_sets`` caps the cliques carried forward at
+    each stage, each tuple's family and the emitted one.
     """
-    pool = [
-        s
-        for params in dict.fromkeys(config.parameter_list)
-        for s in design_fixed(params, config.max_sets).sets
-    ]
-    return select_family(pool, config.max_sets)
+    cap = config.max_sets
+    tuples = dict.fromkeys(config.parameter_list)
+    if len(tuples) == 1:
+        pool = _candidates(*tuples, cap)
+    else:
+        pool = [s for p in tuples for s in _separated(_candidates(p, cap), cap)]
+    family = select_family(pool, cap)
+    guarded = tuple(make_clique_set(s.codes, s.params) for s in family.sets)
+    return Family(guarded, family.interset_lambda)

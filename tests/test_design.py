@@ -199,7 +199,7 @@ def sorted_parents(draw):
 @settings(max_examples=150, deadline=None)
 @given(sorted_parents())
 def test_extensions_of_sorted_parents_come_sorted(case):
-    # design_fixed relies on this order and does not sort its pools.
+    # _candidates relies on this order and does not sort its pools.
     params, parents = case
     n, w = params.n, params.w
     grown = extend_clique_codes([PartialDopr(d, n, w) for d in parents], params)
@@ -464,6 +464,8 @@ def test_config_validation():
         DesignConfig(((13, 4, 1, 1),))
     with pytest.raises(ValueError):
         DesignConfig((P7,), max_sets=0)
+    with pytest.raises(TypeError, match="CodeParams"):
+        design_fixed((25, 3, 1, 1))
 
 
 @pytest.mark.parametrize("max_sets", [-1, True, 1.5])
@@ -507,14 +509,30 @@ def test_multi_design_designs_a_repeated_tuple_once(monkeypatch, capsys):
     )
     calls = []
 
-    def counted(params, max_sets=None):
+    def counted(params, max_sets):
         calls.append(params)
-        return design_fixed(params, max_sets)
+        return candidates(params, max_sets)
 
-    monkeypatch.setattr("oockit.design.design_fixed", counted)
+    candidates = oockit.design._candidates
+    monkeypatch.setattr(oockit.design, "_candidates", counted)
     assert main(["design", "--n", "25,31,31", "--w", "3,3,3"]) == 0
     assert calls == [P25, p31]
     assert from_json(capsys.readouterr().out).config["n"] == [25, 31, 31]
+
+
+def test_a_single_tuple_selects_its_family_once(monkeypatch, capsys):
+    """`oockit design` with one tuple sends its candidates straight to selection."""
+    sizes = []
+
+    def captured(cliques, cap=None):
+        sizes.append(len(cliques))
+        return select(cliques, cap)
+
+    select = oockit.design.select_family
+    monkeypatch.setattr(oockit.design, "select_family", captured)
+    assert main(["design", "--n", "25", "--w", "3"]) == 0
+    assert sizes == [50]
+    assert len(from_json(capsys.readouterr().out).sets) == 9
 
 
 @pytest.mark.parametrize(
@@ -534,6 +552,25 @@ def test_design_builds_each_code_table_once(monkeypatch, params, built):
     their differences; the emitted codes build theirs for the family level
     and the guard, so ``built`` is the number of codes the design emits.
     """
+    _assert_tables_built_once(monkeypatch, lambda: design_fixed(params), built)
+
+
+@pytest.mark.parametrize(
+    "tuples, built",
+    [
+        (((25, 4, 1, 2), (31, 3, 1, 1)), 55),
+        (((25, 3, 1, 1), (31, 3, 1, 1)), 30),
+    ],
+)
+def test_a_merge_builds_tables_only_for_emitted_codes(monkeypatch, tuples, built):
+    """A merge narrows each tuple without reading its family level, so the
+    sets it drops build no table."""
+    config = DesignConfig(tuple(CodeParams(*t) for t in tuples))
+    _assert_tables_built_once(monkeypatch, lambda: design_multi(config), built)
+
+
+def _assert_tables_built_once(monkeypatch, design, built):
+    """``design()`` builds ``built`` tables, one per emitted code, none in graphs."""
     # Holding each argument keeps its id from being reused by a later code.
     seen = []
     in_graphs = []
@@ -553,7 +590,7 @@ def test_design_builds_each_code_table_once(monkeypatch, params, built):
 
     monkeypatch.setattr(codes, "edop_full", counted(codes.edop_full))
     monkeypatch.setattr("oockit.design.build_graph", graphed)
-    family = design_fixed(params)
+    family = design()
     assert len({id(code) for code in seen}) == len(seen) == built
     assert built == sum(len(s.codes) for s in family.sets)
     assert in_graphs and not any(in_graphs)
@@ -630,13 +667,14 @@ def test_every_candidate_set_would_pass_the_guard(parameter_list, max_sets):
     """Only emitted sets are guarded; the unchosen ones would pass too."""
     seen = []
 
-    def captured(cliques, cap=None):
-        seen.extend(cliques)
-        return select(cliques, cap)
+    def captured(params, cap):
+        found = candidates(params, cap)
+        seen.extend(found)
+        return found
 
-    select = oockit.design.select_family
+    candidates = oockit.design._candidates
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oockit.design, "select_family", captured)
+        mp.setattr(oockit.design, "_candidates", captured)
         design_multi(DesignConfig(parameter_list, max_sets=max_sets))
     for c in seen:
         made = make_clique_set(c.codes, c.params)
@@ -670,5 +708,34 @@ def test_the_guard_runs_once_per_emitted_set(
     monkeypatch.setattr(oockit.design, "make_clique_set", counted)
     family = design_fixed(params)
     assert sizes == [candidates]
+    assert len(guarded) == len(family.sets) == emitted
+    assert [s.codes for s in family.sets] == guarded
+
+
+@pytest.mark.parametrize(
+    "tuples, emitted",
+    [
+        (((25, 3, 1, 1), (31, 3, 1, 1)), 9),
+        (((25, 4, 1, 2), (31, 3, 1, 1)), 13),
+    ],
+)
+def test_a_merge_guards_once_per_emitted_set(monkeypatch, tuples, emitted):
+    """A merge selects once over the narrowed tuples and guards only what it keeps."""
+    selections = []
+    guarded = []
+
+    def captured(cliques, cap=None):
+        selections.append(len(cliques))
+        return select(cliques, cap)
+
+    def counted(codes, p):
+        guarded.append(codes)
+        return make_clique_set(codes, p)
+
+    select = oockit.design.select_family
+    monkeypatch.setattr(oockit.design, "select_family", captured)
+    monkeypatch.setattr(oockit.design, "make_clique_set", counted)
+    family = design_multi(DesignConfig(tuple(CodeParams(*t) for t in tuples)))
+    assert len(selections) == 1
     assert len(guarded) == len(family.sets) == emitted
     assert [s.codes for s in family.sets] == guarded
