@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .cliques import Family
-from .codes import CodeParams, Dopr, _standard_rotation, wpr_from_dopr
+from .codes import CodeParams, _standard_rotation, wpr_from_dopr
 from .correlation import _row_overlaps, _shift_peaks, johnson_bound
-from .edop import EdopMatrix, edop_full
+from .edop import _PLAIN_INT, EdopMatrix, _anchored_rows, _settled
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
 # four names on this module, so they must stay importable from it.
@@ -175,10 +175,25 @@ def _integer_list(value, where: str) -> tuple[int, ...]:
     return tuple(_integer(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
+def _code(raw, where: str, i: int) -> DocumentCode:
+    # One C-level test per code object and per list; the field-by-field
+    # checks run only on a code that fails it, to name its first fault.
+    if type(raw) is dict and raw.keys() == {"dopr", "wpr"}:
+        dopr, wpr = raw["dopr"], raw["wpr"]
+        if type(dopr) is type(wpr) is list and dopr and wpr:
+            if set(map(type, dopr)).union(map(type, wpr)) <= _PLAIN_INT:
+                return DocumentCode(tuple(dopr), tuple(wpr))
+    where = f"{where}.codes[{i}]"
+    raw = _object(raw, {"dopr", "wpr"}, where)
+    dopr = _integer_list(raw["dopr"], f"{where}.dopr")
+    return DocumentCode(dopr, _integer_list(raw["wpr"], f"{where}.wpr"))
+
+
 def from_json(text: str) -> CodeSetDocument:
     """Parse a document, rejecting unknown fields, missing fields, and
-    wrong types.  Stored numbers are kept as-is; whether they are
-    internally consistent is `verify_document`'s job.
+    wrong types; a stored code is read entry by entry only when one type
+    test of its lists fails, to name its first fault.  Stored numbers are
+    kept as-is; whether they are consistent is `verify_document`'s job.
     """
     try:
         payload = json.loads(text)
@@ -212,16 +227,7 @@ def from_json(text: str) -> CodeSetDocument:
         params = _object(obj["params"], set(_PARAMS), f"{where}.params")
         if not isinstance(obj["codes"], list) or not obj["codes"]:
             raise DocumentError(f"{where}.codes must be a non-empty array")
-        codes = []
-        for i, raw_code in enumerate(obj["codes"]):
-            code_where = f"{where}.codes[{i}]"
-            code = _object(raw_code, {"dopr", "wpr"}, code_where)
-            codes.append(
-                DocumentCode(
-                    dopr=_integer_list(code["dopr"], f"{code_where}.dopr"),
-                    wpr=_integer_list(code["wpr"], f"{code_where}.wpr"),
-                )
-            )
+        codes = [_code(c, where, i) for i, c in enumerate(obj["codes"])]
         sets.append(
             DocumentSet(
                 **{f: _integer(params[f], f"{where}.params.{f}") for f in _PARAMS},
@@ -303,18 +309,21 @@ _RULES = (
 def verify_document(doc: CodeSetDocument) -> VerificationReport:
     """Re-derive every claimed property of a document.
 
-    Structural rules run on the raw numbers.  Correlation rules need
+    Structural rules run on the raw numbers (an entry the reader would
+    refuse fails ``parameter-consistency``).  Correlation rules need
     structurally sound codes, so sets that already failed are skipped
     there and the skip is noted; the structural failure alone makes the
     report fail.
 
-    The table route runs once per document: the tables of every sound set
-    go through one `_row_overlaps` call, and each code's self level, each
-    in-set pair's cross level and each set pair's inter-set level are read
-    from its result.  That call costs at most (w - 1)^2 int operations per
-    table row, on bitsets one bit per row of the document; a pair read
-    costs one AND per level, and a set pair's peak one AND per level and
-    table of the first set.  The shift route, which shares no code with
+    The table route runs once per document: the tables of every sound set,
+    made from their checked differences, go through one `_row_overlaps`
+    call, and every self, in-set and inter-set level is read from its
+    result.  That call costs at most (w - 1)^2 int operations per table
+    row, on bitsets one bit per row of the document; a pair read costs one
+    AND per level.  Each sound set reads one peak against all later sets,
+    one AND per level and table of the set, and its set pairs one by one
+    only when that peak exceeds their strictest limit.  The shift route,
+    which shares no code with
     it, reads the stored positions, which ``position-consistency`` has tied
     to the stored differences: `_shift_peaks` makes one pass per code over
     the code itself and every later code of its set, w^2 shift counts per
@@ -328,20 +337,20 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
         problems[rule].append(problem)
         bad_sets.add(k)
 
-    # Structural rules: admissible parameters, at least one code, lists of
-    # length w, differences that sum to n and lie in [1, n - 1], positions
-    # that are their running sums, and the canonical rotation.
+    # Structural rules: admissible parameters, at least one code, integer
+    # lists of length w, differences that sum to n and lie in [1, n - 1],
+    # positions that are their running sums, and the canonical rotation.
     params: dict[int, CodeParams] = {}
     for k, s in enumerate(doc.sets):
         try:
             params[k] = CodeParams(s.n, s.w, s.lambda_a, s.lambda_c)
         except (TypeError, ValueError) as exc:
             unsound("parameter-consistency", k, f"set {k}: {exc}")
+            if not isinstance(s.n, int):
+                continue  # the code rules measure against n
         else:
             short = [
-                i
-                for i, c in enumerate(s.codes)
-                if len(c.dopr) != s.w or len(c.wpr) != s.w
+                i for i, c in enumerate(s.codes) if {len(c.dopr), len(c.wpr)} != {s.w}
             ]
             if not s.codes:
                 unsound("parameter-consistency", k, f"set {k}: no codes")
@@ -352,6 +361,14 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
                     f"set {k}: codes {short} do not have {s.w} entries",
                 )
         for i, c in enumerate(s.codes):
+            if not set(map(type, c.dopr)).union(map(type, c.wpr)) <= _PLAIN_INT:
+                try:  # name the first entry the reader would refuse
+                    for name in ("dopr", "wpr"):
+                        for j, v in enumerate(getattr(c, name)):
+                            _integer(v, f"set {k} code {i}: {name}[{j}]")
+                except DocumentError as exc:
+                    unsound("parameter-consistency", k, str(exc))
+                    continue
             total = sum(c.dopr)
             if total != s.n:
                 unsound(
@@ -359,17 +376,13 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
                     k,
                     f"set {k} code {i}: differences sum to {total}, expected {s.n}",
                 )
-            if len(c.dopr) == 1:
-                in_range = c.dopr == (s.n,)
-            else:
-                in_range = all(1 <= d <= s.n - 1 for d in c.dopr)
-            if not in_range:
+            low, high = (s.n, s.n) if len(c.dopr) == 1 else (1, s.n - 1)
+            if c.dopr and not low <= min(c.dopr) <= max(c.dopr) <= high:
                 unsound(
                     "difference-range", k, f"set {k} code {i}: difference out of range"
                 )
-            if list(c.wpr) != list(accumulate(c.dopr[:-1], initial=0)) or any(
-                not 0 <= p < s.n for p in c.wpr
-            ):
+            wpr, running = tuple(c.wpr), tuple(accumulate(c.dopr[:-1], initial=0))
+            if wpr != running or not 0 <= min(wpr) <= max(wpr) < s.n:
                 unsound(
                     "position-consistency",
                     k,
@@ -386,10 +399,12 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
     sound = [k for k in params if k not in bad_sets]
     tables: list[EdopMatrix] = []
     span: dict[int, range] = {}  # set index -> its tables' indexes
-    for k in sound:
-        codes = [Dopr(c.dopr, doc.sets[k].n) for c in doc.sets[k].codes]
-        span[k] = range(len(tables), len(tables) + len(codes))
-        tables.extend(map(edop_full, codes))
+    for k in sound:  # tables made straight from the checked differences
+        s = doc.sets[k]
+        span[k] = range(len(tables), len(tables) + len(s.codes))
+        tables += [
+            _settled(EdopMatrix, rows=_anchored_rows(c.dopr), n=s.n) for c in s.codes
+        ]
     overlaps = _row_overlaps(tables)
 
     # Correlation rules, one sound set at a time.
@@ -450,12 +465,17 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
                 f"set {k}: stored {s.verified_lambda_c}, recomputed {cross_peak}"
             )
 
-    # family-separation: sets are pairwise separated and the stored peak is right
+    # family-separation: sets are pairwise separated and the stored peak is
+    # right.  The tables of all later sound sets follow a set's own.
+    ceilings = [params[k].lambda_c for k in sound]
     peak = 0
-    for a_pos, ka in enumerate(sound):
+    for a_pos, ka in enumerate(sound[:-1]):
+        level = 1 + overlaps.peak(span[ka], range(span[ka].stop, len(tables)))
+        peak = max(peak, level)
+        if level <= min(ceilings[a_pos:]) + 1:
+            continue
         for kb in sound[a_pos + 1 :]:
             level = 1 + overlaps.peak(span[ka], span[kb])
-            peak = max(peak, level)
             limit = min(params[ka].lambda_c, params[kb].lambda_c) + 1
             if level > limit:
                 problems["family-separation"].append(

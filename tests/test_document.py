@@ -23,6 +23,7 @@ from oockit import (
     verify_document,
     wpr_from_dopr,
 )
+from oockit.correlation import _RowOverlaps
 from oockit.document import (
     FORMAT_VERSION,
     TOOL_NAME,
@@ -185,6 +186,82 @@ def test_reader_names_the_params_object(mutate, message):
     with pytest.raises(DocumentError) as excinfo:
         doc_from_payload(payload)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("field", ["dopr", "wpr"])
+@pytest.mark.parametrize("value", [True, 2.0, "1", None, [1]])
+def test_reader_names_the_first_non_integer_entry(field, value):
+    # A later set and code, and a later bad entry too: the message names
+    # the first, after every earlier code passed.
+    payload = payload_of(DOC25)
+    entries = payload["sets"][2]["codes"][1][field]
+    entries[1:] = [value, value]
+    with pytest.raises(DocumentError) as excinfo:
+        doc_from_payload(payload)
+    assert str(excinfo.value) == f"sets[2].codes[1].{field}[1] must be an integer"
+
+
+@pytest.mark.parametrize(
+    "code,message",
+    [
+        (3, "sets[2].codes[1] must be an object"),
+        ({"dopr": [1, 2, 22]}, "sets[2].codes[1] is missing field(s): wpr"),
+        (
+            {"dopr": [1, 2, 22], "wpr": [0, 1, 3], "x": 1},
+            "sets[2].codes[1] has unknown field(s): x",
+        ),
+        (
+            {"dopr": [True], "wpr": [0], "x": 1},
+            "sets[2].codes[1] has unknown field(s): x",
+        ),
+        (
+            {"dopr": [], "wpr": [0, 1, 3]},
+            "sets[2].codes[1].dopr must be a non-empty array",
+        ),
+        (
+            {"dopr": 3, "wpr": [None]},
+            "sets[2].codes[1].dopr must be a non-empty array",
+        ),
+        (
+            {"dopr": [1, 2, 22], "wpr": []},
+            "sets[2].codes[1].wpr must be a non-empty array",
+        ),
+        (
+            {"dopr": [1, 2.0], "wpr": "x"},
+            "sets[2].codes[1].dopr[1] must be an integer",
+        ),
+        (
+            {"dopr": [1, 2, 22], "wpr": [0, 1, None]},
+            "sets[2].codes[1].wpr[2] must be an integer",
+        ),
+    ],
+)
+def test_reader_names_a_malformed_code_in_check_order(code, message):
+    # Object shape first, then dopr (array, then entries), then wpr.
+    payload = payload_of(DOC25)
+    payload["sets"][2]["codes"][1] = code
+    with pytest.raises(DocumentError) as excinfo:
+        doc_from_payload(payload)
+    assert str(excinfo.value) == message
+
+
+def test_reader_checks_stored_entries_without_a_per_entry_call(monkeypatch):
+    # A clean document costs one `_integer` call per set field and one for
+    # the family level, and one `_object` call per object but the codes.
+    doc = document_from_family(design_fixed(CodeParams(37, 3, 1, 1)))
+    text = to_canonical_json(doc)
+    calls = {"_integer": 0, "_object": 0}
+    for name in calls:
+        real = getattr(oockit.document, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(oockit.document, name, counted)
+    assert from_json(text) == doc
+    assert len(doc.sets) == 14
+    assert calls == {"_integer": 7 * 14 + 1, "_object": 2 + 2 * 14}
 
 
 def test_reader_rejects_non_json():
@@ -378,6 +455,34 @@ def test_empty_code_is_reported_not_raised():
     assert "sets [0] not evaluated" in detail["auto-correlation-bound"]
 
 
+@pytest.mark.parametrize("value", [1.0, True, "1", None])
+def test_non_integer_code_entry_is_reported_not_raised(value):
+    # A document built in code may hold entries the reader would refuse;
+    # verify fails them under parameter-consistency, never by raising.
+    codes = (DocumentCode((1, value, 2, 7), (0, 1, 4, 6)),)
+    report = verify_document(with_first_set(DOC13, codes=codes))
+    detail = {c.rule: c.detail for c in report.checks}
+    assert {c.rule for c in report.failures()} == {"parameter-consistency"}
+    assert detail["parameter-consistency"] == (
+        "set 0 code 0: dopr[1] must be an integer"
+    )
+    assert "sets [0] not evaluated" in detail["auto-correlation-bound"]
+    # The three-entry float code of a weight-4 set: both faults named.
+    codes = (DocumentCode((1.0, 3, 9), (0, 1.0, 4.0)),)
+    report = verify_document(with_first_set(DOC13, codes=codes))
+    assert {c.detail for c in report.failures()} == {
+        "set 0: codes [0] do not have 4 entries; "
+        "set 0 code 0: dopr[0] must be an integer"
+    }
+
+
+def test_non_integer_length_is_reported_not_raised():
+    report = verify_document(with_first_set(DOC13, n="13"))
+    assert [(c.rule, c.detail) for c in report.failures()] == [
+        ("parameter-consistency", "set 0: n must be an integer")
+    ]
+
+
 def test_tamper_stored_auto_correlation():
     payload = payload_of(DOC13)
     payload["sets"][0]["verified_lambda_a"] = 0
@@ -515,10 +620,25 @@ def oracle_code(draw, n, w):
     return dops
 
 
+def oracle_interset(na, xs, nb, ys):
+    """Inter-set level of two sets' positions by the oracles: shift
+    counting at one length, shared table entries across lengths."""
+    return max(
+        max_cross(x, y, na) if na == nb else table_cross(x, na, y, nb)
+        for x in xs
+        for y in ys
+    )
+
+
 @st.composite
-def oracle_documents(draw):
+def oracle_documents(draw, lowered=False):
     """1-4 sets of 1-4 codes, n and w mixed across sets, one code possibly
-    repeated in a second set; every stored level comes from the oracles."""
+    repeated in a second set; every stored level comes from the oracles.
+
+    Each set's ``lambda_c`` clears its in-set pairs and its set pairs;
+    ``lowered`` draws it down to anywhere its in-set pairs still clear,
+    so some set pairs may exceed their limit.
+    """
     groups = []  # (n, w, canonical differences of each member)
     for _ in range(draw(st.integers(1, 4))):
         if groups and draw(st.booleans()):
@@ -536,12 +656,7 @@ def oracle_documents(draw):
     ]
 
     def interset(a, b):
-        (na, _, _), (nb, _, _) = groups[a], groups[b]
-        return max(
-            max_cross(x, y, na) if na == nb else table_cross(x, na, y, nb)
-            for x in positions[a]
-            for y in positions[b]
-        )
+        return oracle_interset(groups[a][0], positions[a], groups[b][0], positions[b])
 
     family = {
         (a, b): interset(a, b)
@@ -559,6 +674,8 @@ def oracle_documents(draw):
         cross = max(pairs, default=0)
         apart = [level - 1 for pair, level in family.items() if k in pair]
         lambda_c = max([1, cross, *apart])
+        if lowered:
+            lambda_c = draw(st.integers(max(1, cross), lambda_c))
         codes = tuple(
             DocumentCode(d, x) for d, x in zip(members, positions[k])
         )
@@ -593,3 +710,69 @@ def test_oracle_levels_verify_and_each_raised_level_fails_only_its_rule(doc, dat
     assert failed_rules(
         dataclasses.replace(doc, family_interset_lambda=raised)
     ) == {"family-separation"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_documents(lowered=True))
+def test_family_separation_names_exactly_the_oracle_offending_pairs(doc):
+    # Each set reads one peak against all later sets, and its pairs one by
+    # one only past the strictest limit: every pair over its own limit must
+    # still be named, in order, and no other.
+    expected = []
+    for a, sa in enumerate(doc.sets):
+        for b in range(a + 1, len(doc.sets)):
+            sb = doc.sets[b]
+            level = oracle_interset(
+                sa.n, [c.wpr for c in sa.codes], sb.n, [c.wpr for c in sb.codes]
+            )
+            limit = min(sa.lambda_c, sb.lambda_c) + 1
+            if level > limit:
+                expected.append(
+                    f"sets {a},{b}: inter-set correlation {level} exceeds {limit}"
+                )
+    report = verify_document(doc)
+    assert {c.rule for c in report.failures()} == (
+        {"family-separation"} if expected else set()
+    )
+    assert {c.rule: c.detail for c in report.checks}["family-separation"] == (
+        "; ".join(expected)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_documents(), st.data())
+def test_a_non_integer_code_entry_fails_a_rule_and_never_raises(doc, data):
+    k = data.draw(st.integers(0, len(doc.sets) - 1))
+    i = data.draw(st.integers(0, len(doc.sets[k].codes) - 1))
+    field = data.draw(st.sampled_from(["dopr", "wpr"]))
+    entries = list(getattr(doc.sets[k].codes[i], field))
+    j = data.draw(st.integers(0, len(entries) - 1))
+    entries[j] = data.draw(st.one_of(st.floats(), st.booleans(), st.text(), st.none()))
+    code = dataclasses.replace(doc.sets[k].codes[i], **{field: tuple(entries)})
+    codes = doc.sets[k].codes[:i] + (code,) + doc.sets[k].codes[i + 1 :]
+    sets = list(doc.sets)
+    sets[k] = dataclasses.replace(sets[k], codes=codes)
+    report = verify_document(dataclasses.replace(doc, sets=tuple(sets)))
+    detail = {c.rule: c.detail for c in report.checks}
+    assert {c.rule for c in report.failures()} == {"parameter-consistency"}
+    assert detail["parameter-consistency"] == (
+        f"set {k} code {i}: {field}[{j}] must be an integer"
+    )
+    assert f"sets [{k}] not evaluated" in detail["family-separation"]
+
+
+def test_family_separation_reads_one_peak_per_set(monkeypatch):
+    # A clean 14-set document: one read per set against all later sets,
+    # 13 in all, where reading every set pair would take 91.
+    doc = document_from_family(design_fixed(CodeParams(37, 3, 1, 1)))
+    assert len(doc.sets) == 14
+    reads = []
+    peak = _RowOverlaps.peak
+
+    def counted(self, a, b):
+        reads.append((a, b))
+        return peak(self, a, b)
+
+    monkeypatch.setattr(_RowOverlaps, "peak", counted)
+    assert verify_document(doc).ok
+    assert len(reads) == 13
