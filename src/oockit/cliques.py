@@ -42,10 +42,12 @@ subsets per row, so levels are read off the row bitsets of
 guard's (`make_clique_set`) and verify's each off one index, the
 family's (`select_family`) through `correlation.interset_crosscorr`.
 
-A graph's adjacency is one int mask per node and nothing else: the walk
-scores a node with ``int.bit_count``, and the neighbor sets are only
-read off the masks on request.  A set member builds its table once and
-keeps it (`Dopr.table`); the owner bitsets live for one call.
+A graph's adjacency is one int mask per node; the neighbor sets are only
+read off the masks on request.  A walk step scores every working node in
+one list comprehension of ``(masks[v] & active).bit_count()``, since the
+same calls chained through ``map`` over bound methods take twice as long
+(CPython 3.11).  A set member builds its table once and keeps it
+(`Dopr.table`); the owner bitsets live for one call.
 
 `interset_crosscorr` is the one reader of cross levels between groups
 of codes: it serves `verify_maximality` too, and the tests hold the
@@ -55,9 +57,7 @@ keys to it and to shift counting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import compress
-from operator import or_
 
 from .codes import CodeParams, Dopr
 from .correlation import _row_overlaps, interset_crosscorr, johnson_bound
@@ -141,10 +141,13 @@ def _clashes(key_groups) -> list[int]:
         bit = 1 << i
         for key in keys:
             owners[key] = get(key, 0) | bit
-    return [
-        reduce(or_, map(owners.__getitem__, keys), 1 << i)
-        for i, keys in enumerate(key_groups)
-    ]
+    clashes = []
+    for i, keys in enumerate(key_groups):
+        clash = 1 << i
+        for key in keys:
+            clash |= owners[key]
+        clashes.append(clash)
+    return clashes
 
 
 def _clash_complement(nodes: tuple, clashes) -> CodeGraph:
@@ -154,7 +157,7 @@ def _clash_complement(nodes: tuple, clashes) -> CodeGraph:
     the masks are loop-free and symmetric: the graph is `_settled`.
     """
     everyone = (1 << len(nodes)) - 1
-    masks = tuple(everyone & ~m for m in clashes)
+    masks = tuple([everyone & ~m for m in clashes])
     return _settled(CodeGraph, nodes=nodes, masks=masks)
 
 
@@ -191,8 +194,9 @@ def build_graph(codes, threshold: int) -> CodeGraph:
 def _walk(masks, size: int, active: int, tails: dict) -> tuple[int, ...]:
     """Greedy selections from the working node set ``active`` to the end.
 
-    Nodes scoring len(active) - 1 are taken in one step, in ascending
-    order (see the module docstring for why single steps agree).
+    A step scores its nodes in one list comprehension, the fastest form,
+    and takes the nodes scoring len(active) - 1 together, in ascending
+    order; the module docstring says why on both counts.
     ``tails`` maps each active set met to the rest of its walk, and a walk
     that meets a stored set ends with its tail.
     """
@@ -205,14 +209,12 @@ def _walk(masks, size: int, active: int, tails: dict) -> tuple[int, ...]:
             break
         met.append((active, len(chosen)))
         members = list(_members(active, size))
-        scores = list(
-            map(int.bit_count, map(active.__and__, map(masks.__getitem__, members)))
-        )
+        scores = [(masks[v] & active).bit_count() for v in members]
         top = max(scores)
         if top == len(members) - 1:
-            batch = list(compress(members, map(top.__eq__, scores)))
+            batch = [v for v, score in zip(members, scores) if score == top]
             chosen.extend(batch)
-            active &= ~sum(1 << v for v in batch)
+            active &= ~sum([1 << v for v in batch])
         else:
             # ``members`` ascends and index finds the first top score.
             pick = members[scores.index(top)]
@@ -251,23 +253,17 @@ def enumerate_cliques(graph: CodeGraph) -> tuple[tuple[int, ...], ...]:
     degrees = [m.bit_count() for m in masks]
     top = max(degrees, default=0)
     tails: dict[int, tuple[int, ...]] = {}
-    found: list[tuple[int, ...]] = []
-    seen: set[frozenset[int]] = set()
+    found: dict[frozenset[int], tuple[int, ...]] = {}  # first walk per member set
     closed: set[int] = set()
     for v, d in enumerate(degrees):
-        if d != top:
-            continue
         # A closed twin of an earlier start ends on that start's clique.
         neighbourhood = masks[v] | 1 << v
-        if neighbourhood in closed:
+        if d != top or neighbourhood in closed:
             continue
         closed.add(neighbourhood)
         clique = (v, *_walk(masks, size, masks[v], tails))
-        key = frozenset(clique)
-        if key not in seen:
-            seen.add(key)
-            found.append(clique)
-    return tuple(found)
+        found.setdefault(frozenset(clique), clique)
+    return tuple(found.values())
 
 
 def verify_maximality(members, candidates, threshold: int) -> bool:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, combinations
 
 from .edop import EdopMatrix, _anchored_rows, _check_integers, edop_full
 
@@ -207,11 +207,8 @@ class _DifferenceForm:
         if one_length and k <= 2:
             return self._folded if k == 1 else self._triples
         rows = _anchored_rows(self.closed)
-        subsets = chain.from_iterable(map(combinations, rows, repeat(k)))
-        if not one_length:
-            return list(subsets)
-        n = self.n
-        return [s for s in subsets if s[0] + s[-1] <= n]
+        n = self.n if one_length else 2 * self.n  # entries < n: every subset kept
+        return [s for row in rows for s in combinations(row, k) if s[0] + s[-1] <= n]
 
 
 @dataclass(frozen=True)

@@ -309,11 +309,11 @@ _RULES = (
 def verify_document(doc: CodeSetDocument) -> VerificationReport:
     """Re-derive every claimed property of a document.
 
-    Structural rules run on the raw numbers (an entry the reader would
-    refuse fails ``parameter-consistency``).  Correlation rules need
-    structurally sound codes, so sets that already failed are skipped
-    there and the skip is noted; the structural failure alone makes the
-    report fail.
+    Structural rules run on the raw numbers: a code entry or set level the
+    reader would refuse fails ``parameter-consistency``, and such a family
+    level ``family-separation``.  Correlation rules need structurally
+    sound codes, so sets that already failed are skipped there and the
+    skip is noted; the structural failure alone makes the report fail.
 
     The table route runs once per document: the tables of every sound set,
     made from their checked differences, go through one `_row_overlaps`
@@ -323,12 +323,12 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
     AND per level.  Each sound set reads one peak against all later sets,
     one AND per level and table of the set, and its set pairs one by one
     only when that peak exceeds their strictest limit.  The shift route,
-    which shares no code with
-    it, reads the stored positions, which ``position-consistency`` has tied
-    to the stored differences: `_shift_peaks` makes one pass per code over
-    the code itself and every later code of its set, w^2 shift counts per
-    pair whatever n is, and ``method-agreement`` compares its peak for
-    every code and in-set pair with the table level.
+    which shares no code with it, reads the stored positions, which
+    ``position-consistency`` has tied to the stored differences:
+    `_shift_peaks` makes one pass per code over the code itself and every
+    later code of its set, w^2 shift counts per pair whatever n is, and
+    ``method-agreement`` compares its peak for every code and in-set pair
+    with the table level.
     """
     problems: dict[str, list[str]] = {rule: [] for rule in _RULES}
     bad_sets: set[int] = set()
@@ -346,8 +346,6 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
             params[k] = CodeParams(s.n, s.w, s.lambda_a, s.lambda_c)
         except (TypeError, ValueError) as exc:
             unsound("parameter-consistency", k, f"set {k}: {exc}")
-            if not isinstance(s.n, int):
-                continue  # the code rules measure against n
         else:
             short = [
                 i for i, c in enumerate(s.codes) if {len(c.dopr), len(c.wpr)} != {s.w}
@@ -360,6 +358,12 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
                     k,
                     f"set {k}: codes {short} do not have {s.w} entries",
                 )
+        for f in _LEVELS:  # the reader's integer rule, as for code entries
+            v = getattr(s, f)
+            if isinstance(v, bool) or not isinstance(v, int):
+                unsound("parameter-consistency", k, f"set {k}: {f} must be an integer")
+        if not isinstance(s.n, int):
+            continue  # the code rules measure against n
         for i, c in enumerate(s.codes):
             if not set(map(type, c.dopr)).union(map(type, c.wpr)) <= _PLAIN_INT:
                 try:  # name the first entry the reader would refuse
@@ -481,9 +485,12 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
                 problems["family-separation"].append(
                     f"sets {ka},{kb}: inter-set correlation {level} exceeds {limit}"
                 )
-    if not bad_sets and doc.family_interset_lambda != peak:
+    stored = doc.family_interset_lambda
+    if isinstance(stored, bool) or not isinstance(stored, int):
+        problems["family-separation"].append("stored family level must be an integer")
+    elif not bad_sets and stored != peak:
         problems["family-separation"].append(
-            f"stored family level {doc.family_interset_lambda}, recomputed {peak}"
+            f"stored family level {stored}, recomputed {peak}"
         )
 
     checks = []

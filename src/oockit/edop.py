@@ -103,7 +103,7 @@ def _anchored_rows(dops: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     # checks, give strictly increasing rows in [1, n-1]: a valid table.
     w = len(dops)
     doubled = dops + dops
-    return tuple(tuple(accumulate(doubled[j : j + w - 1])) for j in range(w))
+    return tuple([tuple(accumulate(doubled[j : j + w - 1])) for j in range(w)])
 
 
 def _settled(cls, **fields):

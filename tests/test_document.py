@@ -63,6 +63,8 @@ RULES = (
     "family-separation",
 )
 
+LEVELS = ("bound", "verified_lambda_a", "verified_lambda_c")
+
 
 def payload_of(doc):
     return json.loads(to_canonical_json(doc))
@@ -483,6 +485,45 @@ def test_non_integer_length_is_reported_not_raised():
     ]
 
 
+@pytest.mark.parametrize("field", LEVELS)
+@pytest.mark.parametrize("kind", [float, bool, str])
+def test_non_integer_set_level_is_reported_not_passed(field, kind):
+    # An equal-valued level such as bound=1.0 would verify clean and then
+    # be written to a file the reader refuses; it fails the set instead.
+    doc = with_first_set(DOC13, **{field: kind(getattr(DOC13.sets[0], field))})
+    with pytest.raises(DocumentError, match="must be an integer"):
+        from_json(to_canonical_json(doc))
+    report = verify_document(doc)
+    detail = {c.rule: c.detail for c in report.checks}
+    assert {c.rule for c in report.failures()} == {"parameter-consistency"}
+    assert detail["parameter-consistency"] == f"set 0: {field} must be an integer"
+    assert "sets [0] not evaluated" in detail["auto-correlation-bound"]
+
+
+def test_non_integer_levels_are_named_after_the_parameters():
+    doc = with_first_set(DOC13, n="13", bound=1.0, verified_lambda_c=None)
+    report = verify_document(doc)
+    assert [(c.rule, c.detail) for c in report.failures()] == [
+        (
+            "parameter-consistency",
+            "set 0: n must be an integer; set 0: bound must be an integer; "
+            "set 0: verified_lambda_c must be an integer",
+        )
+    ]
+
+
+@pytest.mark.parametrize("doc, kind", [(DOC7, float), (DOC13, bool), (DOC7, str)])
+def test_non_integer_family_level_fails_family_separation(doc, kind):
+    level = kind(doc.family_interset_lambda)  # 2.0, False or "2"
+    tampered = dataclasses.replace(doc, family_interset_lambda=level)
+    with pytest.raises(DocumentError, match="must be an integer"):
+        from_json(to_canonical_json(tampered))
+    report = verify_document(tampered)
+    assert [(c.rule, c.detail) for c in report.failures()] == [
+        ("family-separation", "stored family level must be an integer")
+    ]
+
+
 def test_tamper_stored_auto_correlation():
     payload = payload_of(DOC13)
     payload["sets"][0]["verified_lambda_a"] = 0
@@ -758,6 +799,21 @@ def test_a_non_integer_code_entry_fails_a_rule_and_never_raises(doc, data):
     assert detail["parameter-consistency"] == (
         f"set {k} code {i}: {field}[{j}] must be an integer"
     )
+    assert f"sets [{k}] not evaluated" in detail["family-separation"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_documents(), st.data())
+def test_a_non_integer_set_level_fails_its_set_and_never_raises(doc, data):
+    k = data.draw(st.integers(0, len(doc.sets) - 1))
+    field = data.draw(st.sampled_from(LEVELS))
+    value = data.draw(st.one_of(st.floats(), st.booleans(), st.text(), st.none()))
+    sets = list(doc.sets)
+    sets[k] = dataclasses.replace(sets[k], **{field: value})
+    report = verify_document(dataclasses.replace(doc, sets=tuple(sets)))
+    detail = {c.rule: c.detail for c in report.checks}
+    assert {c.rule for c in report.failures()} == {"parameter-consistency"}
+    assert detail["parameter-consistency"] == f"set {k}: {field} must be an integer"
     assert f"sets [{k}] not evaluated" in detail["family-separation"]
 
 

@@ -9,19 +9,21 @@ Here random inputs hold the graphs' edges to `crosscorr_edop`,
 the keys, hold the family level to the oracles' `table_cross`, which
 shares no code with the row bitsets or with that reader, and hold
 `CodeGraph`'s checks on its masks to the plain definition of a simple
-undirected graph.  Half the pools and lists of
-candidate sets share one length, even or odd, where the kernel keys only
-canonical anchorings; the other half mix lengths, where it keys every
-subset.  Candidate sets mix weights and cross ceilings, so each pair is
-judged at its own stricter ceiling.
+undirected graph.  `_clashes` is held to its definition, and the walks
+to the set-based oracles on masks of one digit and of several.  Half
+the pools and lists of candidate sets share one length, even or odd,
+where the kernel keys only canonical anchorings; the other half mix
+lengths, where it keys every subset.  Candidate sets mix weights and
+cross ceilings, so each pair is judged at its own stricter ceiling.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oockit import (
     CliqueSet,
@@ -42,6 +44,7 @@ from oockit import (
     interset_crosscorr,
     select_family,
 )
+from oockit.cliques import _clashes
 
 from oracles import greedy_walk, greedy_walks, max_cross, table_cross
 
@@ -114,6 +117,32 @@ def test_build_graph_edges_match_both_reference_routes(pool, threshold):
                 assert joined == (
                     max_cross(positions(a), positions(b), a.n) <= threshold
                 )
+
+
+@st.composite
+def key_groups(draw):
+    """0..70 groups of up to 8 hashable keys: ints from a drawn range, so
+    the groups share keys densely or sparsely, and int pairs.  Groups may
+    be empty or repeat a key, and 70 groups give bitsets of three 30-bit
+    digits of a CPython int."""
+    size = draw(st.integers(0, 70))
+    keys = st.integers(0, draw(st.integers(0, 300))) | st.tuples(
+        st.integers(0, 3), st.integers(0, 3)
+    )
+    group = st.lists(keys, max_size=8)
+    return draw(st.lists(group, min_size=size, max_size=size))
+
+
+@settings(max_examples=50, deadline=None)
+@given(key_groups())
+@example([[1, 1], [], [2, 1, 2], [3], [], [(0, 1)], [(0, 1), 3, 3]])
+def test_clashes_match_the_definition(groups):
+    """Group i's bitset holds i and every j sharing a key with it."""
+    sets = [set(keys) for keys in groups]
+    assert _clashes(groups) == [
+        sum(1 << j for j, b in enumerate(sets) if i == j or not a.isdisjoint(b))
+        for i, a in enumerate(sets)
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,15 +255,15 @@ def test_an_evenly_spaced_pattern_is_a_shared_key():
 
 
 @st.composite
-def graphs(draw):
-    """Symmetric adjacency over 0..14 nodes.
+def graphs(draw, min_size=0, max_size=14):
+    """Symmetric adjacency over ``min_size``..``max_size`` nodes.
 
     Half the draws list the edges, the other half the few edges missing
     from a complete graph: uniformly drawn edge lists rarely give nodes
     joined to all others or walks from different starts that meet, which
     the walk's batch steps and shared tails serve.
     """
-    size = draw(st.integers(0, 14))
+    size = draw(st.integers(min_size, max_size))
     pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
     near_complete = draw(st.booleans())
     drawn = st.lists(
@@ -282,6 +311,42 @@ def test_greedy_clique_matches_the_set_based_walk(adjacency):
 @settings(max_examples=200, deadline=None)
 @given(graphs())
 def test_enumerate_cliques_matches_one_set_based_walk_per_top_start(adjacency):
+    graph = CodeGraph(tuple(range(len(adjacency))), masks_of(adjacency))
+    assert enumerate_cliques(graph) == greedy_walks(adjacency)
+
+
+@st.composite
+def wide_graphs(draw):
+    """Symmetric adjacency over 31..64 nodes, so that a mask spans two or
+    three 30-bit digits of a CPython int.
+
+    Half the draws are `graphs`' sparse edge lists or near-complete
+    graphs; the other half join each pair with a drawn probability, as
+    drawn edge lists of this size stay far sparser.
+    """
+    if draw(st.booleans()):
+        return draw(graphs(31, 64))
+    size = draw(st.integers(31, 64))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    adjacency = {v: set() for v in range(size)}
+    for a, b in combinations(range(size), 2):
+        if rng.random() < density:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    return adjacency
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_graphs())
+def test_greedy_clique_matches_the_set_based_walk_on_wide_masks(adjacency):
+    graph = CodeGraph(tuple(range(len(adjacency))), masks_of(adjacency))
+    assert greedy_clique(graph) == greedy_walk(adjacency)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_graphs())
+def test_enumerate_cliques_matches_every_start_walk_on_wide_masks(adjacency):
     graph = CodeGraph(tuple(range(len(adjacency))), masks_of(adjacency))
     assert enumerate_cliques(graph) == greedy_walks(adjacency)
 
