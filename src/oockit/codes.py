@@ -34,13 +34,20 @@ And the rule reads only the gaps, so two codes that share a pattern keep
 the same anchorings of it: they share a kept key exactly when they share
 any key.  At k = 1 the rule keeps min(d, n - d) for each pair of
 one-bits, its folded distance, keyed as a plain int.  At k = 2 a pattern
-is a triple of one-bits a < b < c, and its rows' subsets are
-(b - a, c - a) at a, (c - b, n - b + a) at b and (n - c + a, n - c + b)
-at c, so the rule keeps a when b + c <= n + 2a, b when a + c <= 2b and c
-when n + a + b <= 2c: the same anchorings, read off the triple, whichever
-code holds it.  Each kept (s_1, s_2) is keyed as the int s_1 * n + s_2,
-one int per subset at one length.  Codes of mixed lengths keep every
-subset.
+is a triple of one-bits a < b < c with gaps g1 = b - a, g2 = c - b and
+g3 = n - c + a round it, and its rows' subsets are (g1, g1 + g2) at a,
+(g2, n - g1) at b and (g3, n - g2) at c, so the rule keeps a when
+g1 <= g3, b when g2 <= g1 and c when g3 <= g2: the same anchorings, read
+off the triple, whichever code holds it.  Each kept (s_1, s_2) is keyed
+as the int s_1 * n + s_2, one int per subset at one length.  Codes of
+mixed lengths keep every subset.
+
+The keys at k = 1 and k = 2 are counted one point at a time: the pairs
+and triples a one-bit c closes with the one-bits below it
+(`_folds_closing_at`, `_triples_closing_at`).  A code computes them on
+first use and keeps them; the designer instead hands each code it makes
+its parent's keys plus those its new one-bit closes, so no pool code
+computes its own.
 """
 
 from __future__ import annotations
@@ -134,34 +141,41 @@ class Wpr:
         return len(self.positions)
 
 
-def _folded_distances(dops: tuple[int, ...], n: int) -> list[int]:
-    """min(d, n - d) for each pair of one-bits of the closed code ``dops``.
+def _folds_closing_at(pos, c: int, n: int) -> tuple[int, ...]:
+    """min(d, n - d) for the distance d = c - a of each a in ``pos``, all
+    below c: the table entries e with 2e <= n, one per pair."""
+    return tuple([c - a if 2 * (c - a) <= n else n - c + a for a in pos])
 
-    The table lists each pair's distance both ways, as d and n - d, so
-    these C(w, 2) ints are its entries e with 2e <= n, one per pair.
-    """
+
+def _folded_distances(dops: tuple[int, ...], n: int) -> list[int]:
+    """The threshold-1 keys of the closed code ``dops``, one point at a time."""
     pos = list(accumulate(dops[:-1], initial=0))
-    return [
-        d if d + d <= n else n - d
-        for i, p in enumerate(pos)
-        for d in map(p.__rsub__, pos[i + 1 :])
-    ]
+    return [k for j, c in enumerate(pos) for k in _folds_closing_at(pos[:j], c, n)]
+
+
+def _triples_closing_at(pos, c: int, n: int) -> tuple[int, ...]:
+    """The threshold-2 keys of the triples (a, b, c), a < b from ``pos``, all
+    below c: each kept anchoring (see the module docstring), its subset
+    (s_1, s_2) keyed as s_1 * n + s_2."""
+    keys: list[int] = []
+    add = keys.append
+    for a, b in combinations(pos, 2):
+        g1, g2, g3 = b - a, c - b, n - c + a
+        if g1 <= g3:
+            add(g1 * n + c - a)
+        if g2 <= g1:
+            add(g2 * n + n - g1)
+        if g3 <= g2:
+            add(g3 * n + n - g2)
+    return tuple(keys)
 
 
 def _triple_keys(dops: tuple[int, ...], n: int) -> list[int]:
-    """The threshold-2 keys of the closed code ``dops``, as ints: each kept
-    anchoring of each triple of one-bits (see the module docstring), its
-    subset (s_1, s_2) keyed as s_1 * n + s_2."""
+    """The threshold-2 keys of the closed code ``dops``, one point at a time."""
     pos = list(accumulate(dops[:-1], initial=0))
     keys: list[int] = []
-    add = keys.append
-    for a, b, c in combinations(pos, 3):
-        if b + c <= n + a + a:
-            add((b - a) * n + c - a)
-        if a + c <= b + b:
-            add((c - b) * n + n - b + a)
-        if n + a + b <= c + c:
-            add((n - c + a) * n + n - c + b)
+    for j in range(2, len(pos)):
+        keys += _triples_closing_at(pos[:j], pos[j], n)
     return keys
 
 
@@ -186,7 +200,8 @@ class _DifferenceForm:
 
     @cached_property
     def _triples(self) -> tuple[int, ...]:
-        """The closed tuple's k = 2 pattern keys at its length."""
+        """The closed tuple's k = 2 pattern keys at its length; the designer
+        sets them on the codes it makes at lambda_c 2."""
         return tuple(_triple_keys(self.closed, self.n))
 
     def _pattern_keys(self, k: int, one_length: bool):
@@ -263,7 +278,8 @@ def _standard_rotation(dops: tuple[int, ...]) -> tuple[int, ...]:
 class StandardDopr(Dopr):
     """A Dopr pinned to its canonical rotation; construction re-checks it.
 
-    The designer's closed codes skip it, made canonical by `design._close_pool`.
+    The designer's closed codes skip it, made canonical by
+    `design._closed_children`.
     """
 
     def __post_init__(self) -> None:

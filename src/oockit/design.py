@@ -2,16 +2,17 @@
 
 Codes are built one difference at a time.  Opening pairs seed a pool;
 each stage links compatible partial codes into a graph, harvests greedy
-cliques, and grows every clique member by one more difference.  Once a
-single free position remains, the length forces the closing difference,
-and the cliques of the last graph, on complete canonical codes, compete
-for membership in the emitted family.  No graph node builds a difference
-table.  Family selection keys candidate sets by the same per-code keys,
-at every ceiling, so no candidate set builds one either: only the codes
-of the kept sets do, for the family level and the guard, which every
-design, of one tuple or a merge, runs once in `design_multi`.  Pool codes
-skip their constructors' checks: extension and `_close_pool` meet each
-rule where they make the value.
+cliques, and grows every clique member by one more difference.  Members
+two short grow straight into complete canonical codes, one per rotation
+class (`_closed_children`): the length forces the closing difference.
+The cliques of that last graph compete for membership in the emitted
+family.  No graph node builds a difference table: each pool code carries
+the pattern keys its graph reads, its parent's plus its new point's.
+Family selection keys candidate sets by the same per-code keys, at every
+ceiling, so no candidate set builds one either: only the codes of the
+kept sets do, for the family level and the guard, which every design,
+of one tuple or a merge, runs once in `design_multi`.  Pool codes skip
+their constructors' checks: the stage that makes a value meets each rule.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from .codes import (
     CodeParams,
     PartialDopr,
     StandardDopr,
+    _folds_closing_at,
     _standard_rotation,
+    _triples_closing_at,
     max_difference_at,
 )
 from .edop import _settled
@@ -71,6 +74,17 @@ class DesignConfig:
         _check_max_sets(self.max_sets)
 
 
+def _singles(params: CodeParams) -> list[PartialDopr]:
+    """The one-difference codes: each d <= max_difference_at < n / 2 leaves
+    room and is its own fold, and their two one-bits hold no triple."""
+    n, w = params.n, params.w
+    top = max_difference_at(n, w, 1)
+    return [
+        _settled(PartialDopr, dops=(d,), n=n, w=w, _folded=(d,), _triples=())
+        for d in range(1, top + 1)
+    ]
+
+
 def enumerate_first_pairs(params: CodeParams) -> tuple[PartialDopr, ...]:
     """Opening difference pairs that can begin a conforming code.
 
@@ -82,11 +96,50 @@ def enumerate_first_pairs(params: CodeParams) -> tuple[PartialDopr, ...]:
     """
     if params.w < 3:
         raise ValueError("opening pairs need weight at least 3")
-    n, w = params.n, params.w
-    # Each d <= max_difference_at < n / 2 leaves room and is its own fold.
-    ones = [(d,) for d in range(1, max_difference_at(n, w, 1) + 1)]
-    singles = [_settled(PartialDopr, dops=d, n=n, w=w, _folded=d) for d in ones]
-    return _extend(singles, params)
+    return _extend(_singles(params), params)
+
+
+def _admitted(code, params: CodeParams, last: bool):
+    """``code``'s one-bit positions and the x its children may add, ascending:
+    the admission rule of `extend_clique_codes`, which states it, and of
+    `_closed_children`, whose parents (``last``) are two short."""
+    n, w, lam = params.n, params.w, params.lambda_a
+    u = code.u
+    if (u + 2 != w if last else u + 1 >= w) or (code.n, code.w) != (n, w):
+        raise ValueError(f"cannot extend {code!r} at n={n}, w={w}")
+    # How often each cyclic distance occurs between the closed companion's
+    # one-bits; the largest count is the companion's self correlation.
+    pos = list(accumulate(code.dops, initial=0))
+    counts = Counter((q - p) % n for p in pos for q in pos if p != q)
+    if max(counts.values()) > lam:
+        return pos, []  # a child's counts are never below its parent's
+    # L_lambda, the distances at the ceiling, and L_(lambda-1).
+    full = sum(1 << m for m, c in counts.items() if c >= lam)
+    near = (
+        sum(1 << m for m, c in counts.items() if c >= lam - 1)
+        if lam > 1
+        else (1 << n) - 1
+    )
+    refused = 0
+    for i, p in enumerate(pos):
+        refused |= full << p | full >> (n - p)
+        for q in pos[i:]:
+            # x = (p + q + n) / 2 lies at distance (q - p + n) / 2 past p.
+            if (q - p + n) % 2 == 0 and near >> (q - p + n) // 2 & 1:
+                refused |= 1 << (p + q + n) // 2
+    total = pos[-1]
+    cap = min(max_difference_at(n, w, u + 1), n - (w - u - 1) - total)
+    admitted = ((1 << cap) - 1) << (total + 1) & ~refused
+    if u == 1:
+        # Opening pairs are of distinct differences.  Elsewhere a
+        # repeated difference d is refused by the mask at lambda 1,
+        # where d is a counted distance, and may be admitted above it.
+        admitted &= ~(1 << (total + code.dops[-1]))
+    xs = []
+    while admitted:
+        xs.append((admitted & -admitted).bit_length() - 1)
+        admitted &= admitted - 1
+    return pos, xs
 
 
 def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
@@ -107,62 +160,36 @@ def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
     parent costs O(u^2) integer steps and a few n-bit int operations,
     whatever its range, and only an unrefused position becomes a
     `PartialDopr`.  One-difference codes extend into pairs of distinct
-    differences, as `enumerate_first_pairs` needs.
+    differences, as `enumerate_first_pairs` needs.  This rule, `_admitted`,
+    also admits the children that `_closed_children` closes at once.
 
     Each child is made by construction (`edop._settled`), meeting each
     `PartialDopr` rule: a parent not at the (n, w) of ``params`` is refused,
     and d = x - total lies in [1, cap], cap <= `max_difference_at` <= n - 1
     and total + cap <= n - (w - u - 1).  It carries its closed companion's
-    folded distances, its parent's plus min(x - p, n - x + p) for each p.
+    pattern keys, its parent's plus those its new point x adds: folded
+    distances, and triple keys at lambda_c 2, where the graphs read them.
     A repeated parent is extended once, and parents of one length in
     strictly increasing ``dops`` order yield children in that order, as a
     child's tuple starts with its parent's.  The opening singletons come
     in that order, and `_candidates` extends each clique's members in
     pool order, so every pool it builds is sorted without a sort.
     """
-    n, w, lam = params.n, params.w, params.lambda_a
+    n, w = params.n, params.w
+    triples = params.lambda_c == 2
     out: list[PartialDopr] = []
     for code in dict.fromkeys(codes):
-        u = code.u
-        if u + 1 >= w or (code.n, code.w) != (n, w):
-            raise ValueError(f"cannot extend {code!r} at n={n}, w={w}")
-        # How often each cyclic distance occurs between the closed companion's
-        # one-bits; the largest count is the companion's self correlation.
-        pos = list(accumulate(code.dops, initial=0))
-        counts = Counter((q - p) % n for p in pos for q in pos if p != q)
-        if max(counts.values()) > lam:
-            continue  # a child's counts are never below its parent's
-        # L_lambda, the distances at the ceiling, and L_(lambda-1).
-        full = sum(1 << m for m, c in counts.items() if c >= lam)
-        near = (
-            sum(1 << m for m, c in counts.items() if c >= lam - 1)
-            if lam > 1
-            else (1 << n) - 1
-        )
-        refused = 0
-        for i, p in enumerate(pos):
-            refused |= full << p | full >> (n - p)
-            for q in pos[i:]:
-                # x = (p + q + n) / 2 lies at distance (q - p + n) / 2 past p.
-                if (q - p + n) % 2 == 0 and near >> (q - p + n) // 2 & 1:
-                    refused |= 1 << (p + q + n) // 2
-        total = pos[-1]
-        cap = min(max_difference_at(n, w, u + 1), n - (w - u - 1) - total)
-        admitted = ((1 << cap) - 1) << (total + 1) & ~refused
-        if u == 1:
-            # Opening pairs are of distinct differences.  Elsewhere a
-            # repeated difference d is refused by the mask at lambda 1,
-            # where d is a counted distance, and may be admitted above it.
-            admitted &= ~(1 << (total + code.dops[-1]))
-        folded = code._folded
-        while admitted:
-            x = (admitted & -admitted).bit_length() - 1
-            admitted &= admitted - 1
-            dops = code.dops + (x - total,)
-            added = tuple([x - p if 2 * (x - p) <= n else n - x + p for p in pos])
-            out.append(
-                _settled(PartialDopr, dops=dops, n=n, w=w, _folded=folded + added)
-            )
+        pos, xs = _admitted(code, params, False)
+        folded, keyed = code._folded, code._triples if triples else ()
+        for x in xs:
+            dops = code.dops + (x - pos[-1],)
+            f = folded + _folds_closing_at(pos, x, n)
+            if triples:
+                t = keyed + _triples_closing_at(pos, x, n)
+                made = _settled(PartialDopr, dops=dops, n=n, w=w, _folded=f, _triples=t)
+            else:
+                made = _settled(PartialDopr, dops=dops, n=n, w=w, _folded=f)
+            out.append(made)
     return tuple(out)
 
 
@@ -176,32 +203,41 @@ def _capped(cliques, max_sets: int | None):
     return [cliques[i] for i in sorted(ranked[:max_sets])]
 
 
-def _close_pool(pool, params: CodeParams) -> tuple[StandardDopr, ...]:
-    """Complete codes of a pool one difference short, one per rotation class.
+def _closed_children(codes, params: CodeParams) -> tuple[StandardDopr, ...]:
+    """Complete canonical codes of ``codes``' children, one per rotation class.
 
-    Each member is read as its closed companion (``closed``), whose last
-    difference the length forces, at least 1 as extension left room, and
-    is put in canonical rotation; the first code of each class in pool
-    order is made by construction (`edop._settled`) with its member's
-    folded distances, which rotation keeps.  The members already meet the
-    self-correlation ceiling, because extension judged each one's closed
-    companion, which at u = w-1 is the complete code.
-
-    The positional ranges prune most rotational duplicates from a pool but
-    not all of them.  Duplicates are poison for the degree-greedy walk:
-    copies of one class are mutually non-adjacent yet share all other
-    neighbors, so they inflate the degrees of everything around them and
-    steer the walk away from large cliques.  A code whose closing
-    difference lands outside the canonical last-position range is
-    re-rotated rather than thrown away; discarding it would leave the
-    other emitted sets extendable by the discarded class.
+    Each parent is two differences short; each child `_admitted` gives it
+    is read at once as its closed companion, whose last difference n - x
+    the length forces, and is canonical as it stands when n - x is the
+    strict maximum.  The first code of each class, in parent and child
+    order, is made by construction (`edop._settled`) with its child's
+    pattern keys, which rotation keeps.  Rotational duplicates would
+    poison the degree-greedy walk: copies of one class are mutually
+    non-adjacent yet share all other neighbors, inflating the degrees
+    around them.  A code is re-rotated rather than thrown away, which
+    would leave the emitted sets extendable by its class.
     """
     n = params.n
+    triples = params.lambda_c == 2
     kept: dict[tuple[int, ...], StandardDopr] = {}
-    for code in pool:
-        dops = _standard_rotation(code.closed)
-        if dops not in kept:
-            kept[dops] = _settled(StandardDopr, dops=dops, n=n, _folded=code._folded)
+    for code in dict.fromkeys(codes):
+        pos, xs = _admitted(code, params, True)
+        top, folded = max(code.dops), code._folded
+        keyed = code._triples if triples else ()
+        for x in xs:
+            d, last = x - pos[-1], n - x
+            dops = code.dops + (d, last)
+            if last <= top or last <= d:
+                dops = _standard_rotation(dops)
+            if dops in kept:
+                continue
+            f = folded + _folds_closing_at(pos, x, n)
+            if triples:
+                t = keyed + _triples_closing_at(pos, x, n)
+                made = _settled(StandardDopr, dops=dops, n=n, _folded=f, _triples=t)
+            else:
+                made = _settled(StandardDopr, dops=dops, n=n, _folded=f)
+            kept[dops] = made
     return tuple(kept.values())
 
 
@@ -209,23 +245,27 @@ def _candidates(params: CodeParams, max_sets: int | None) -> tuple:
     """One tuple's candidate sets, the cliques of its last graph, once each.
 
     A candidate is unverified: a namespace of its codes, in canonical
-    order, and its tuple, all that family selection reads.
+    order, and its tuple, all that family selection reads.  At w = 3 the
+    opening singles close at once.
     """
+    w = params.w
     found: dict[tuple, tuple] = {}
-    pools = deque([enumerate_first_pairs(params)])
+    if w == 3:
+        pools = deque([_closed_children(_singles(params), params)])
+    else:
+        pools = deque([enumerate_first_pairs(params)])
     while pools:
         pool = pools.popleft()
         if not pool:
             continue
-        final = pool[0].u == params.w - 1
-        if final:
-            pool = _close_pool(pool, params)
         graph = build_graph(pool, params.lambda_c)
         for clique in _capped(enumerate_cliques(graph), max_sets):
             members = tuple(pool[i] for i in sorted(clique))
-            if final:
+            if len(members[0].dops) == w:
                 codes = tuple(sorted(members, key=lambda c: c.dops))
                 found.setdefault(tuple(c.dops for c in codes), codes)
+            elif members[0].u + 2 == w:
+                pools.append(_closed_children(members, params))
             else:
                 pools.append(extend_clique_codes(members, params))
     return tuple(SimpleNamespace(codes=c, params=params) for c in found.values())

@@ -189,6 +189,30 @@ def _code(raw, where: str, i: int) -> DocumentCode:
     return DocumentCode(dopr, _integer_list(raw["wpr"], f"{where}.wpr"))
 
 
+# The writer's encoding (`to_canonical_json`), refusing NaN and infinities.
+_STANDARD_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
+def _provenance(version, prov) -> dict:
+    """The reader's rules for the fields above the sets, shared by verify:
+    the provenance object, checked after the format version."""
+    _string(version, "format_version")
+    if version != FORMAT_VERSION:
+        raise DocumentError(
+            f"unsupported format_version {version!r}; this reader handles {FORMAT_VERSION!r}"
+        )
+    prov = _object(prov, {"tool", "version", "config"}, "provenance")
+    _string(prov["tool"], "provenance.tool")
+    _string(prov["version"], "provenance.version")
+    if not isinstance(prov["config"], dict):
+        raise DocumentError("provenance.config must be an object")
+    try:
+        _STANDARD_JSON.encode(prov["config"])
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"provenance.config is not standard JSON: {exc}") from None
+    return prov
+
+
 def from_json(text: str) -> CodeSetDocument:
     """Parse a document, rejecting unknown fields, missing fields, and
     wrong types; a stored code is read entry by entry only when one type
@@ -206,16 +230,7 @@ def from_json(text: str) -> CodeSetDocument:
         {"format_version", "provenance", "family_interset_lambda", "sets"},
         "document",
     )
-    version = _string(top["format_version"], "format_version")
-    if version != FORMAT_VERSION:
-        raise DocumentError(
-            f"unsupported format_version {version!r}; this reader handles {FORMAT_VERSION!r}"
-        )
-    prov = _object(top["provenance"], {"tool", "version", "config"}, "provenance")
-    tool = _string(prov["tool"], "provenance.tool")
-    tool_version = _string(prov["version"], "provenance.version")
-    if not isinstance(prov["config"], dict):
-        raise DocumentError("provenance.config must be an object")
+    prov = _provenance(top["format_version"], top["provenance"])
     family_level = _integer(top["family_interset_lambda"], "family_interset_lambda")
     if not isinstance(top["sets"], list):
         raise DocumentError("sets must be an array")
@@ -236,9 +251,9 @@ def from_json(text: str) -> CodeSetDocument:
             )
         )
     return CodeSetDocument(
-        format_version=version,
-        tool=tool,
-        version=tool_version,
+        format_version=top["format_version"],
+        tool=prov["tool"],
+        version=prov["version"],
         config=prov["config"],
         family_interset_lambda=family_level,
         sets=tuple(sets),
@@ -311,9 +326,14 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
 
     Structural rules run on the raw numbers: a code entry or set level the
     reader would refuse fails ``parameter-consistency``, and such a family
-    level ``family-separation``.  Correlation rules need structurally
-    sound codes, so sets that already failed are skipped there and the
-    skip is noted; the structural failure alone makes the report fail.
+    level ``family-separation``.  A format version or provenance field
+    the reader would refuse, a ``config`` it could not write as standard
+    JSON among them, adds a failed ``document-format`` check, first, with
+    the reader's message; a readable document has no such check, as
+    ``oockit verify`` prints it only for a file it cannot read.
+    Correlation rules need structurally sound codes, so sets that already
+    failed are skipped there and the skip is noted; the structural
+    failure alone makes the report fail.
 
     The table route runs once per document: the tables of every sound set,
     made from their checked differences, go through one `_row_overlaps`
@@ -502,4 +522,9 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
         if index >= 5 and bad_sets:  # a correlation rule
             parts.append(f"sets {sorted(bad_sets)} not evaluated (structural failure)")
         checks.append(Check(rule, not found, "; ".join(parts)))
+    prov = {"tool": doc.tool, "version": doc.version, "config": doc.config}
+    try:  # the reader's message; a readable document reports no such check
+        _provenance(doc.format_version, prov)
+    except DocumentError as exc:
+        checks.insert(0, Check("document-format", False, str(exc)))
     return VerificationReport(tuple(checks))

@@ -110,7 +110,7 @@ def _settled(cls, **fields):
     """A frozen ``cls`` holding ``fields``, made by construction: its maker
     has met every rule ``__post_init__`` checks, so that does not run."""
     made = object.__new__(cls)
-    vars(made).update(fields)
+    made.__dict__.update(fields)
     return made
 
 

@@ -223,6 +223,13 @@ def extend_prefixes(prefixes, n, w, lambda_a):
     return list(out)
 
 
+def close_prefixes(prefixes, n):
+    """Each prefix one difference short, closed by the difference its length
+    forces and put in canonical rotation; the first tuple of each rotation
+    class is kept, in order."""
+    return list(dict.fromkeys(canonical_gaps(c + (n - sum(c),)) for c in prefixes))
+
+
 def reference_design(tuples, max_sets=None):
     """The paper's staged designer, from the definitions above.
 
@@ -257,7 +264,7 @@ def _design_tuple(params, max_sets):
             continue
         final = len(pool[0]) == w - 1
         if final:
-            pool = list(dict.fromkeys(canonical_gaps(c + (n - sum(c),)) for c in pool))
+            pool = close_prefixes(pool, n)
         ones = [companion_positions(c[:-1] if final else c) for c in pool]
         graph = _graph(
             len(pool), lambda i, j: table_cross(ones[i], n, ones[j], n) <= lambda_c

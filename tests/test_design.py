@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oockit.design
 
@@ -35,9 +37,10 @@ from oockit import (
 
 from oockit import codes
 from oockit.cli import main
-from oockit.codes import _folded_distances
+from oockit.codes import _folded_distances, _triple_keys
 
 from oracles import (
+    close_prefixes,
     companion_positions,
     extend_prefixes,
     max_auto,
@@ -148,37 +151,91 @@ def test_extension_equals_the_candidate_by_candidate_check(case):
     )
 
 
+def grown_and_closed(params, parents):
+    """Extension's children of ``parents``, a pool grown from a few of them
+    until every code is at most two short, and the closed children of the
+    two-short codes, each made as the designer makes it."""
+    n, w = params.n, params.w
+    grown = extend_clique_codes([PartialDopr(d, n, w) for d in parents], params)
+    pool = list(grown)
+    while short := [g for g in pool if g.u < w - 2]:
+        pool = [g for g in pool if g.u >= w - 2]
+        pool += extend_clique_codes(short[:3], params)
+    two_short = [g for g in pool if g.u == w - 2]
+    return grown, pool, oockit.design._closed_children(two_short, params)
+
+
 @settings(max_examples=100, deadline=None)
 @given(extension_parents())
 def test_children_carry_their_companions_folded_distances(case):
     """Extension hands each child its folded distances for the graph build.
 
-    A child carries its parent's plus those of its new one-bit, and
-    `_close_pool` copies them onto the complete code; the unit-threshold
+    A child carries its parent's plus those of its new one-bit, and so
+    does each complete code `_closed_children` makes; the unit-threshold
     graphs keyed by the carried values equal those of fresh copies, which
-    compute their own.
+    compute their own.  At lambda_c 1 no code carries triple keys.
     """
     params, parents = case
     n, w = params.n, params.w
-    grown = extend_clique_codes([PartialDopr(d, n, w) for d in parents], params)
-    # Grow a few of the short children until every code is one short.
-    pool = list(grown)
-    while short := [g for g in pool if g.u < w - 1]:
-        pool = [g for g in pool if g.u == w - 1]
-        pool += extend_clique_codes(short[:3], params)
-    complete = oockit.design._close_pool(pool, params)
+    grown, pool, complete = grown_and_closed(params, parents)
     # Checked before any graph reads them, so none was computed on demand.
     for g in (*grown, *pool):
-        assert "_folded" in vars(g)
+        assert "_folded" in vars(g) and "_triples" not in vars(g)
         closed = g.dops + (n - sum(g.dops),)
         assert set(g._folded) == set(_folded_distances(closed, n))
     for c in complete:
-        assert "_folded" in vars(c)
+        assert "_folded" in vars(c) and "_triples" not in vars(c)
         assert set(c._folded) == set(_folded_distances(c.dops, n))
     fresh = [PartialDopr(g.dops, n, w) for g in grown]
     assert build_graph(grown, 1).masks == build_graph(fresh, 1).masks
     fresh = [Dopr(c.dops, n) for c in complete]
     assert build_graph(complete, 1).masks == build_graph(fresh, 1).masks
+
+
+@settings(max_examples=100, deadline=None)
+@given(extension_parents())
+def test_children_carry_their_companions_triple_keys(case):
+    """At lambda_c 2 a child carries its parent's triple keys plus those of
+    the triples its new one-bit closes, and so does each closed code; the
+    threshold-2 graphs keyed by the carried values equal those of fresh
+    copies, which compute their own."""
+    params, parents = case
+    params = replace(params, lambda_c=2)
+    n, w = params.n, params.w
+    grown, pool, complete = grown_and_closed(params, parents)
+    # Checked before any graph reads them, so none was computed on demand.
+    for g in (*grown, *pool, *complete):
+        assert "_triples" in vars(g)
+        assert sorted(g._triples) == sorted(_triple_keys(g.closed, n))
+    fresh = [PartialDopr(g.dops, n, w) for g in grown]
+    assert build_graph(grown, 2).masks == build_graph(fresh, 2).masks
+    fresh = [Dopr(c.dops, n) for c in complete]
+    assert build_graph(complete, 2).masks == build_graph(fresh, 2).masks
+
+
+@settings(max_examples=150, deadline=None)
+@given(extension_parents(), st.sampled_from((1, 2)))
+@example((CodeParams(13, 4, 2, 1), [(1, 2), (2, 5)]), 2)
+@example((CodeParams(11, 3, 2, 1), [(1,), (4,)]), 1)
+@example((CodeParams(16, 5, 2, 1), [(1, 2, 1), (2, 5, 1)]), 2)
+def test_closed_children_are_the_closed_extensions(case, lambda_c):
+    """`_closed_children` closes what `extend_clique_codes` would make, in order.
+
+    The reference closes each one-short child, rotates it canonically and
+    keeps the first of each class.  The examples close children whose
+    last difference ties an earlier one, the strict-maximum skip's
+    boundary: (1, 2, 5, 5) and (2, 5, 1, 5) at n = 13, whose canonical
+    rotation is (1, 5, 2, 5), and at w = 3 the singles' (4, 3, 4).
+    """
+    params, parents = case
+    params = replace(params, lambda_c=lambda_c)
+    n, w = params.n, params.w
+    parents = [PartialDopr(d, n, w) for d in parents if len(d) == w - 2]
+    assume(parents)
+    closed = oockit.design._closed_children(parents, params)
+    children = extend_clique_codes(parents, params)
+    assert [c.dops for c in closed] == close_prefixes([g.dops for g in children], n)
+    assert_checked((), closed)
 
 
 @st.composite
@@ -248,7 +305,8 @@ def assert_checked(children, closed):
 
     Extension's children equal `PartialDopr` of their fields, and each
     closed code equals `StandardDopr` of its own, carrying the folded
-    distances its differences give, counted with multiplicity.
+    distances its differences give, counted with multiplicity, as are the
+    triple keys any code carries.
     """
     for g in children:
         assert g == PartialDopr(g.dops, g.n, g.w)
@@ -258,6 +316,9 @@ def assert_checked(children, closed):
         assert type(c) is StandardDopr
         assert all(type(x) is int for x in (c.n, *c.dops))
         assert sorted(c._folded) == sorted(_folded_distances(c.dops, c.n))
+    for g in (*children, *closed):
+        if "_triples" in vars(g):
+            assert sorted(g._triples) == sorted(_triple_keys(g.closed, g.n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -267,8 +328,8 @@ def test_extension_builds_its_checked_construction(case):
     n, w = params.n, params.w
     grown = extend_clique_codes([PartialDopr(d, n, w) for d in parents], params)
     short = [g for g in grown if g.u < w - 1]
-    closing = [g for g in grown if g.u == w - 1]
-    assert_checked(grown, oockit.design._close_pool(closing, params))
+    closing = [PartialDopr(d, n, w) for d in parents if len(d) == w - 2]
+    assert_checked(grown, oockit.design._closed_children(closing, params))
     assert_checked(extend_clique_codes(short[:3], params), ())
 
 
@@ -283,15 +344,15 @@ def test_designer_pools_equal_their_checked_construction(params):
         built.append((out, ()))
         return out
 
-    def closed(pool, p):
-        out = close(pool, p)
-        built.append((pool, out))
+    def closed(parents, p):
+        out = close(parents, p)
+        built.append(((), out))
         return out
 
-    extend, close = oockit.design.extend_clique_codes, oockit.design._close_pool
+    extend, close = oockit.design.extend_clique_codes, oockit.design._closed_children
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oockit.design, "extend_clique_codes", extended)
-        mp.setattr(oockit.design, "_close_pool", closed)
+        mp.setattr(oockit.design, "_closed_children", closed)
         design_fixed(params, max_sets=2)
     assert_checked(enumerate_first_pairs(params), ())
     for children, complete in built:
@@ -334,9 +395,11 @@ def test_designer_pools_equal_their_checked_construction(params):
 def test_design_stage_counts(monkeypatch, params, max_sets, graphs, children, closing):
     """Exact work per stage: a dropped or repeated pool code fails on a count.
 
-    Graphs give (nodes, edges), children count each `extend_clique_codes`
-    call of `design_fixed` and closing gives codes in and out of
-    `_close_pool`.
+    Graphs give (nodes, edges), children count the one-difference
+    extensions of each stage of `design_fixed`, and closing gives, per
+    `_closed_children` call, its parents' extensions and the closed codes
+    it keeps.  The last stage makes no one-short codes, so its children
+    are counted by `extend_clique_codes` on the same parents.
     """
     seen_graphs, seen_children, seen_closing = [], [], []
 
@@ -351,16 +414,17 @@ def test_design_stage_counts(monkeypatch, params, max_sets, graphs, children, cl
         seen_children.append(len(out))
         return out
 
-    def closed(pool, p):
-        out = close(pool, p)
-        seen_closing.append((len(pool), len(out)))
+    def closed(parents, p):
+        out = close(parents, p)
+        seen_children.append(len(extend(parents, p)))
+        seen_closing.append((seen_children[-1], len(out)))
         return out
 
     build = oockit.design.build_graph
-    extend, close = oockit.design.extend_clique_codes, oockit.design._close_pool
+    extend, close = oockit.design.extend_clique_codes, oockit.design._closed_children
     monkeypatch.setattr(oockit.design, "build_graph", graphed)
     monkeypatch.setattr(oockit.design, "extend_clique_codes", extended)
-    monkeypatch.setattr(oockit.design, "_close_pool", closed)
+    monkeypatch.setattr(oockit.design, "_closed_children", closed)
     design_fixed(params, max_sets)
     assert seen_graphs == graphs
     assert seen_children == children

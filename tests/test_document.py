@@ -524,6 +524,33 @@ def test_non_integer_family_level_fails_family_separation(doc, kind):
     ]
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"format_version": 1}, "format_version must be a string"),
+        ({"tool": None}, "provenance.tool must be a string"),
+        ({"version": 3}, "provenance.version must be a string"),
+        ({"config": None}, "provenance.config must be an object"),
+        (
+            {"config": {"n": [13], "seed": float("nan")}},
+            "provenance.config is not standard JSON: "
+            "Out of range float values are not JSON compliant",
+        ),
+    ],
+)
+def test_provenance_the_reader_refuses_fails_document_format(changes, message):
+    # Each would verify clean and then be written to a file the reader
+    # refuses (NaN as the non-standard token NaN); it fails first instead,
+    # with the reader's message, and the set rules still run.
+    tampered = dataclasses.replace(DOC13, **changes)
+    with pytest.raises(DocumentError) as excinfo:
+        from_json(to_canonical_json(tampered))
+    assert str(excinfo.value) == message
+    report = verify_document(tampered)
+    assert report.checks[0] == oockit.document.Check("document-format", False, message)
+    assert report.checks[1:] == verify_document(DOC13).checks
+
+
 def test_tamper_stored_auto_correlation():
     payload = payload_of(DOC13)
     payload["sets"][0]["verified_lambda_a"] = 0
