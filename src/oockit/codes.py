@@ -43,11 +43,14 @@ as the int s_1 * n + s_2, one int per subset at one length.  Codes of
 mixed lengths keep every subset.
 
 The keys at k = 1 and k = 2 are counted one point at a time: the pairs
-and triples a one-bit c closes with the one-bits below it
-(`_folds_closing_at`, `_triples_closing_at`).  A code computes them on
-first use and keeps them; the designer instead hands each code it makes
-its parent's keys plus those its new one-bit closes, so no pool code
-computes its own.
+and triples a one-bit c closes with the one-bits below it.  One table,
+`_CARRIED`, names for k = 1 and k = 2 the attribute that holds a code's
+keys and the function that counts the keys one point closes.  A code
+computes its keys on first use and keeps them; the designer
+instead hands each code it makes the keys of its design threshold
+lambda_c alone, its parent's plus those its new one-bit closes, so no
+pool code computes its own.  Above k = 2 nothing is carried: those
+graphs read row subsets.
 """
 
 from __future__ import annotations
@@ -147,12 +150,6 @@ def _folds_closing_at(pos, c: int, n: int) -> tuple[int, ...]:
     return tuple([c - a if 2 * (c - a) <= n else n - c + a for a in pos])
 
 
-def _folded_distances(dops: tuple[int, ...], n: int) -> list[int]:
-    """The threshold-1 keys of the closed code ``dops``, one point at a time."""
-    pos = list(accumulate(dops[:-1], initial=0))
-    return [k for j, c in enumerate(pos) for k in _folds_closing_at(pos[:j], c, n)]
-
-
 def _triples_closing_at(pos, c: int, n: int) -> tuple[int, ...]:
     """The threshold-2 keys of the triples (a, b, c), a < b from ``pos``, all
     below c: each kept anchoring (see the module docstring), its subset
@@ -170,12 +167,19 @@ def _triples_closing_at(pos, c: int, n: int) -> tuple[int, ...]:
     return tuple(keys)
 
 
-def _triple_keys(dops: tuple[int, ...], n: int) -> list[int]:
-    """The threshold-2 keys of the closed code ``dops``, one point at a time."""
+# Per threshold k the designer carries: the attribute holding a code's
+# keys and the keys one point closes with the points below it.
+_CARRIED = {1: ("_folded", _folds_closing_at), 2: ("_triples", _triples_closing_at)}
+
+
+def _closed_keys(dops: tuple[int, ...], n: int, k: int) -> list[int]:
+    """The threshold-k keys of the closed code ``dops``, k in `_CARRIED`,
+    one point at a time: a point closes keys only with k points below it."""
+    closing = _CARRIED[k][1]
     pos = list(accumulate(dops[:-1], initial=0))
     keys: list[int] = []
-    for j in range(2, len(pos)):
-        keys += _triples_closing_at(pos[:j], pos[j], n)
+    for j in range(k, len(pos)):
+        keys += closing(pos[:j], pos[j], n)
     return keys
 
 
@@ -195,14 +199,15 @@ class _DifferenceForm:
     @cached_property
     def _folded(self) -> tuple[int, ...]:
         """The closed tuple's min(d, n - d) per pair of one-bits, its k = 1
-        pattern keys; the designer sets them on the codes it makes."""
-        return tuple(_folded_distances(self.closed, self.n))
+        pattern keys; the designer sets them on the codes it makes at
+        lambda_c 1."""
+        return tuple(_closed_keys(self.closed, self.n, 1))
 
     @cached_property
     def _triples(self) -> tuple[int, ...]:
         """The closed tuple's k = 2 pattern keys at its length; the designer
         sets them on the codes it makes at lambda_c 2."""
-        return tuple(_triple_keys(self.closed, self.n))
+        return tuple(_closed_keys(self.closed, self.n, 2))
 
     def _pattern_keys(self, k: int, one_length: bool):
         """The keys of the closed tuple's (k+1)-point patterns of one-bits.
@@ -232,7 +237,8 @@ class Dopr(_DifferenceForm):
 
     For weight w >= 2 every element lies in [1, n-1] and the elements sum
     to n exactly (walking all gaps returns to the starting position).  The
-    degenerate weight-1 code has the single wrap-around difference (n,).
+    degenerate weight-1 code has the single wrap-around difference (n,),
+    at any length n >= 1.
     """
 
     dops: tuple[int, ...]
@@ -243,6 +249,8 @@ class Dopr(_DifferenceForm):
         if not self.dops:
             raise ValueError("a difference form needs at least one element")
         if len(self.dops) == 1:
+            if self.n < 1:
+                raise ValueError(f"a code needs length n >= 1, got n={self.n}")
             if self.dops != (self.n,):
                 raise ValueError(
                     f"weight-1 code at n={self.n} must have the single "
@@ -278,8 +286,7 @@ def _standard_rotation(dops: tuple[int, ...]) -> tuple[int, ...]:
 class StandardDopr(Dopr):
     """A Dopr pinned to its canonical rotation; construction re-checks it.
 
-    The designer's closed codes skip it, made canonical by
-    `design._closed_children`.
+    The designer's closed codes skip it, made canonical by `design._grow`.
     """
 
     def __post_init__(self) -> None:

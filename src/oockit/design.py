@@ -4,10 +4,13 @@ Codes are built one difference at a time.  Opening pairs seed a pool;
 each stage links compatible partial codes into a graph, harvests greedy
 cliques, and grows every clique member by one more difference.  Members
 two short grow straight into complete canonical codes, one per rotation
-class (`_closed_children`): the length forces the closing difference.
-The cliques of that last graph compete for membership in the emitted
-family.  No graph node builds a difference table: each pool code carries
-the pattern keys its graph reads, its parent's plus its new point's.
+class: the length forces the closing difference.  One step, `_grow`,
+makes every pool.  The cliques of that last graph compete for
+membership in the emitted family.  No graph node builds a difference
+table: each pool code carries the pattern keys of its design threshold
+lambda_c, its parent's plus its new point's, folded distances at 1 and
+triple keys at 2; above 2 it carries none, and its graph reads row
+subsets.
 Family selection keys candidate sets by the same per-code keys, at every
 ceiling, so no candidate set builds one either: only the codes of the
 kept sets do, for the family level and the guard, which every design,
@@ -35,9 +38,8 @@ from .codes import (
     CodeParams,
     PartialDopr,
     StandardDopr,
-    _folds_closing_at,
+    _CARRIED,
     _standard_rotation,
-    _triples_closing_at,
     max_difference_at,
 )
 from .edop import _settled
@@ -76,13 +78,11 @@ class DesignConfig:
 
 def _singles(params: CodeParams) -> list[PartialDopr]:
     """The one-difference codes: each d <= max_difference_at < n / 2 leaves
-    room and is its own fold, and their two one-bits hold no triple."""
+    room.  No graph reads them: their keys are counted when `_grow` reads
+    them."""
     n, w = params.n, params.w
     top = max_difference_at(n, w, 1)
-    return [
-        _settled(PartialDopr, dops=(d,), n=n, w=w, _folded=(d,), _triples=())
-        for d in range(1, top + 1)
-    ]
+    return [_settled(PartialDopr, dops=(d,), n=n, w=w) for d in range(1, top + 1)]
 
 
 def enumerate_first_pairs(params: CodeParams) -> tuple[PartialDopr, ...]:
@@ -96,13 +96,13 @@ def enumerate_first_pairs(params: CodeParams) -> tuple[PartialDopr, ...]:
     """
     if params.w < 3:
         raise ValueError("opening pairs need weight at least 3")
-    return _extend(_singles(params), params)
+    return _grow(_singles(params), params, False)
 
 
 def _admitted(code, params: CodeParams, last: bool):
     """``code``'s one-bit positions and the x its children may add, ascending:
     the admission rule of `extend_clique_codes`, which states it, and of
-    `_closed_children`, whose parents (``last``) are two short."""
+    `_grow`'s last stage, whose parents (``last``) are two short."""
     n, w, lam = params.n, params.w, params.lambda_a
     u = code.u
     if (u + 2 != w if last else u + 1 >= w) or (code.n, code.w) != (n, w):
@@ -160,85 +160,74 @@ def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
     parent costs O(u^2) integer steps and a few n-bit int operations,
     whatever its range, and only an unrefused position becomes a
     `PartialDopr`.  One-difference codes extend into pairs of distinct
-    differences, as `enumerate_first_pairs` needs.  This rule, `_admitted`,
-    also admits the children that `_closed_children` closes at once.
+    differences, as `enumerate_first_pairs` needs.
 
     Each child is made by construction (`edop._settled`), meeting each
     `PartialDopr` rule: a parent not at the (n, w) of ``params`` is refused,
     and d = x - total lies in [1, cap], cap <= `max_difference_at` <= n - 1
     and total + cap <= n - (w - u - 1).  It carries its closed companion's
-    pattern keys, its parent's plus those its new point x adds: folded
-    distances, and triple keys at lambda_c 2, where the graphs read them.
-    A repeated parent is extended once, and parents of one length in
-    strictly increasing ``dops`` order yield children in that order, as a
-    child's tuple starts with its parent's.  The opening singletons come
-    in that order, and `_candidates` extends each clique's members in
-    pool order, so every pool it builds is sorted without a sort.
+    pattern keys at lambda_c, where the graphs read them, its parent's plus
+    those its new point x adds: folded distances at lambda_c 1 and triple
+    keys at 2; above 2 it carries none.  A repeated parent is extended
+    once, and parents of one length in strictly increasing ``dops`` order
+    yield children in that order, as a child's tuple starts with its
+    parent's.  The opening singletons come in that order, and `_candidates`
+    extends each clique's members in pool order, so every pool it builds
+    is sorted without a sort.
+    """
+    return _grow(codes, params, False)
+
+
+def _grow(codes, params: CodeParams, last: bool) -> tuple:
+    """The children `_admitted` gives ``codes``, parent by parent: the one
+    step that makes every pool.
+
+    Each child is made by construction (`edop._settled`) and carries the
+    pattern keys of lambda_c named in `codes._CARRIED`, its parent's plus
+    those its new point x closes; above lambda_c 2 it carries none.  A
+    repeated parent is grown once.  Before the last stage a child is the
+    `PartialDopr` one difference longer.
+
+    At the ``last`` stage each parent is two differences short, and each
+    child is read at once as its closed companion, whose last difference
+    n - x the length forces, and is canonical as it stands when n - x is
+    the strict maximum.  The first code of each rotation class, in parent
+    and child order, is made as a `StandardDopr` with its child's keys,
+    which rotation keeps.  Rotational duplicates would poison the
+    degree-greedy walk: copies of one class are mutually non-adjacent yet
+    share all other neighbors, inflating the degrees around them.  A code
+    is re-rotated rather than thrown away, which would leave the emitted
+    sets extendable by its class.
     """
     n, w = params.n, params.w
-    triples = params.lambda_c == 2
-    out: list[PartialDopr] = []
+    attr, closing = _CARRIED.get(params.lambda_c, (None, None))
+    out: list[PartialDopr | StandardDopr] = []
+    classes: set[tuple[int, ...]] = set()
     for code in dict.fromkeys(codes):
-        pos, xs = _admitted(code, params, False)
-        folded, keyed = code._folded, code._triples if triples else ()
+        pos, xs = _admitted(code, params, last)
+        top, keys = max(code.dops), getattr(code, attr) if attr else ()
         for x in xs:
-            dops = code.dops + (x - pos[-1],)
-            f = folded + _folds_closing_at(pos, x, n)
-            if triples:
-                t = keyed + _triples_closing_at(pos, x, n)
-                made = _settled(PartialDopr, dops=dops, n=n, w=w, _folded=f, _triples=t)
+            d = x - pos[-1]
+            if not last:
+                made = _settled(PartialDopr, dops=code.dops + (d,), n=n, w=w)
             else:
-                made = _settled(PartialDopr, dops=dops, n=n, w=w, _folded=f)
+                dops = code.dops + (d, n - x)
+                if n - x <= top or n - x <= d:
+                    dops = _standard_rotation(dops)
+                if dops in classes:
+                    continue
+                classes.add(dops)
+                made = _settled(StandardDopr, dops=dops, n=n)
+            if attr:
+                made.__dict__[attr] = keys + closing(pos, x, n)
             out.append(made)
     return tuple(out)
-
-
-# `enumerate_first_pairs`' name for the step, which tracing never swaps.
-_extend = extend_clique_codes
 
 
 def _capped(cliques, max_sets: int | None):
     """Keep the largest cliques, earliest-found first on ties."""
     ranked = sorted(range(len(cliques)), key=lambda i: -len(cliques[i]))
     return [cliques[i] for i in sorted(ranked[:max_sets])]
-
-
-def _closed_children(codes, params: CodeParams) -> tuple[StandardDopr, ...]:
-    """Complete canonical codes of ``codes``' children, one per rotation class.
-
-    Each parent is two differences short; each child `_admitted` gives it
-    is read at once as its closed companion, whose last difference n - x
-    the length forces, and is canonical as it stands when n - x is the
-    strict maximum.  The first code of each class, in parent and child
-    order, is made by construction (`edop._settled`) with its child's
-    pattern keys, which rotation keeps.  Rotational duplicates would
-    poison the degree-greedy walk: copies of one class are mutually
-    non-adjacent yet share all other neighbors, inflating the degrees
-    around them.  A code is re-rotated rather than thrown away, which
-    would leave the emitted sets extendable by its class.
-    """
-    n = params.n
-    triples = params.lambda_c == 2
-    kept: dict[tuple[int, ...], StandardDopr] = {}
-    for code in dict.fromkeys(codes):
-        pos, xs = _admitted(code, params, True)
-        top, folded = max(code.dops), code._folded
-        keyed = code._triples if triples else ()
-        for x in xs:
-            d, last = x - pos[-1], n - x
-            dops = code.dops + (d, last)
-            if last <= top or last <= d:
-                dops = _standard_rotation(dops)
-            if dops in kept:
-                continue
-            f = folded + _folds_closing_at(pos, x, n)
-            if triples:
-                t = keyed + _triples_closing_at(pos, x, n)
-                made = _settled(StandardDopr, dops=dops, n=n, _folded=f, _triples=t)
-            else:
-                made = _settled(StandardDopr, dops=dops, n=n, _folded=f)
-            kept[dops] = made
-    return tuple(kept.values())
 
 
 def _candidates(params: CodeParams, max_sets: int | None) -> tuple:
@@ -251,7 +240,7 @@ def _candidates(params: CodeParams, max_sets: int | None) -> tuple:
     w = params.w
     found: dict[tuple, tuple] = {}
     if w == 3:
-        pools = deque([_closed_children(_singles(params), params)])
+        pools = deque([_grow(_singles(params), params, True)])
     else:
         pools = deque([enumerate_first_pairs(params)])
     while pools:
@@ -265,7 +254,7 @@ def _candidates(params: CodeParams, max_sets: int | None) -> tuple:
                 codes = tuple(sorted(members, key=lambda c: c.dops))
                 found.setdefault(tuple(c.dops for c in codes), codes)
             elif members[0].u + 2 == w:
-                pools.append(_closed_children(members, params))
+                pools.append(_grow(members, params, True))
             else:
                 pools.append(extend_clique_codes(members, params))
     return tuple(SimpleNamespace(codes=c, params=params) for c in found.values())

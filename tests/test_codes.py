@@ -26,7 +26,7 @@ from oockit import (
 )
 
 from oockit import codes
-from oockit.codes import _folded_distances, _triple_keys
+from oockit.codes import _closed_keys
 
 from oracles import all_subsets, anchored_difference_table, gaps_of, rotation_classes
 
@@ -99,6 +99,8 @@ def test_code_forms_reject_bools_and_floats(make):
     [
         (lambda: Dopr((), 7), "a difference form needs at least one element"),
         (lambda: Dopr((4,), 9), "weight-1 code at n=9 must have the single difference"),
+        (lambda: Dopr((0,), 0), "a code needs length n >= 1, got n=0"),
+        (lambda: Dopr((-3,), -3), "a code needs length n >= 1, got n=-3"),
         (lambda: Dopr((0, 3, 4), 7), "differences must lie in [1, 6]"),
         (lambda: Dopr((7, 1, -1), 7), "differences must lie in [1, 6]"),
         (lambda: Dopr((1, 2, 5), 7), "differences must sum to n=7, got 8"),
@@ -357,7 +359,7 @@ def test_folded_distances_are_the_table_entries_up_to_half_the_length():
         for w in range(2, min(6, n) + 1):
             for positions in all_subsets(n, w):
                 dops = gaps_of(positions, n)
-                folded = _folded_distances(dops, n)
+                folded = _closed_keys(dops, n, 1)
                 assert sorted(folded) == sorted(
                     min((q - p) % n, (p - q) % n)
                     for p, q in itertools.combinations(positions, 2)
@@ -375,7 +377,7 @@ def test_triple_keys_are_the_kept_pairs_of_row_entries():
         for w in range(2, min(6, n) + 1):
             for positions in all_subsets(n, w):
                 dops = gaps_of(positions, n)
-                assert sorted(_triple_keys(dops, n)) == sorted(
+                assert sorted(_closed_keys(dops, n, 2)) == sorted(
                     s * n + t
                     for row in anchored_difference_table(dops)
                     for s, t in itertools.combinations(row, 2)

@@ -37,7 +37,7 @@ from oockit import (
 
 from oockit import codes
 from oockit.cli import main
-from oockit.codes import _folded_distances, _triple_keys
+from oockit.codes import _closed_keys
 
 from oracles import (
     close_prefixes,
@@ -48,6 +48,9 @@ from oracles import (
     reference_design,
     unit_auto_classes,
 )
+
+# The attribute in which a designer's code carries its keys at lambda_c.
+CARRIED = {1: "_folded", 2: "_triples"}
 
 P7 = CodeParams(7, 3, 1, 1)
 P13 = CodeParams(13, 4, 1, 1)
@@ -162,7 +165,7 @@ def grown_and_closed(params, parents):
         pool = [g for g in pool if g.u >= w - 2]
         pool += extend_clique_codes(short[:3], params)
     two_short = [g for g in pool if g.u == w - 2]
-    return grown, pool, oockit.design._closed_children(two_short, params)
+    return grown, pool, oockit.design._grow(two_short, params, True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -171,9 +174,10 @@ def test_children_carry_their_companions_folded_distances(case):
     """Extension hands each child its folded distances for the graph build.
 
     A child carries its parent's plus those of its new one-bit, and so
-    does each complete code `_closed_children` makes; the unit-threshold
-    graphs keyed by the carried values equal those of fresh copies, which
-    compute their own.  At lambda_c 1 no code carries triple keys.
+    does each complete code the last stage of `_grow` makes; the
+    unit-threshold graphs keyed by the carried values equal those of fresh
+    copies, which compute their own.  At lambda_c 1 no code carries triple
+    keys.
     """
     params, parents = case
     n, w = params.n, params.w
@@ -182,10 +186,10 @@ def test_children_carry_their_companions_folded_distances(case):
     for g in (*grown, *pool):
         assert "_folded" in vars(g) and "_triples" not in vars(g)
         closed = g.dops + (n - sum(g.dops),)
-        assert set(g._folded) == set(_folded_distances(closed, n))
+        assert set(g._folded) == set(_closed_keys(closed, n, 1))
     for c in complete:
         assert "_folded" in vars(c) and "_triples" not in vars(c)
-        assert set(c._folded) == set(_folded_distances(c.dops, n))
+        assert set(c._folded) == set(_closed_keys(c.dops, n, 1))
     fresh = [PartialDopr(g.dops, n, w) for g in grown]
     assert build_graph(grown, 1).masks == build_graph(fresh, 1).masks
     fresh = [Dopr(c.dops, n) for c in complete]
@@ -198,28 +202,48 @@ def test_children_carry_their_companions_triple_keys(case):
     """At lambda_c 2 a child carries its parent's triple keys plus those of
     the triples its new one-bit closes, and so does each closed code; the
     threshold-2 graphs keyed by the carried values equal those of fresh
-    copies, which compute their own."""
+    copies, which compute their own.  No code carries folded distances,
+    which only a threshold-1 graph reads."""
     params, parents = case
     params = replace(params, lambda_c=2)
     n, w = params.n, params.w
     grown, pool, complete = grown_and_closed(params, parents)
     # Checked before any graph reads them, so none was computed on demand.
     for g in (*grown, *pool, *complete):
-        assert "_triples" in vars(g)
-        assert sorted(g._triples) == sorted(_triple_keys(g.closed, n))
+        assert "_triples" in vars(g) and "_folded" not in vars(g)
+        assert sorted(g._triples) == sorted(_closed_keys(g.closed, n, 2))
     fresh = [PartialDopr(g.dops, n, w) for g in grown]
     assert build_graph(grown, 2).masks == build_graph(fresh, 2).masks
     fresh = [Dopr(c.dops, n) for c in complete]
     assert build_graph(complete, 2).masks == build_graph(fresh, 2).masks
 
 
+@settings(max_examples=60, deadline=None)
+@given(extension_parents())
+def test_children_above_lambda_c_2_carry_no_keys(case):
+    """At lambda_c 3 the graphs read row subsets, so no child or closed code
+    carries folded distances or triple keys, and the threshold-3 graphs
+    equal those of fresh copies."""
+    params, parents = case
+    assume(params.w >= 4)
+    params = replace(params, lambda_c=3)
+    n, w = params.n, params.w
+    grown, pool, complete = grown_and_closed(params, parents)
+    for g in (*grown, *pool, *complete):
+        assert "_folded" not in vars(g) and "_triples" not in vars(g)
+    fresh = [PartialDopr(g.dops, n, w) for g in grown]
+    assert build_graph(grown, 3).masks == build_graph(fresh, 3).masks
+    fresh = [Dopr(c.dops, n) for c in complete]
+    assert build_graph(complete, 3).masks == build_graph(fresh, 3).masks
+
+
 @settings(max_examples=150, deadline=None)
-@given(extension_parents(), st.sampled_from((1, 2)))
+@given(extension_parents(), st.sampled_from((1, 2, 3)))
 @example((CodeParams(13, 4, 2, 1), [(1, 2), (2, 5)]), 2)
 @example((CodeParams(11, 3, 2, 1), [(1,), (4,)]), 1)
 @example((CodeParams(16, 5, 2, 1), [(1, 2, 1), (2, 5, 1)]), 2)
 def test_closed_children_are_the_closed_extensions(case, lambda_c):
-    """`_closed_children` closes what `extend_clique_codes` would make, in order.
+    """`_grow`'s last stage closes what `extend_clique_codes` would make.
 
     The reference closes each one-short child, rotates it canonically and
     keeps the first of each class.  The examples close children whose
@@ -228,14 +252,15 @@ def test_closed_children_are_the_closed_extensions(case, lambda_c):
     rotation is (1, 5, 2, 5), and at w = 3 the singles' (4, 3, 4).
     """
     params, parents = case
+    assume(params.w > lambda_c)
     params = replace(params, lambda_c=lambda_c)
     n, w = params.n, params.w
     parents = [PartialDopr(d, n, w) for d in parents if len(d) == w - 2]
     assume(parents)
-    closed = oockit.design._closed_children(parents, params)
+    closed = oockit.design._grow(parents, params, True)
     children = extend_clique_codes(parents, params)
     assert [c.dops for c in closed] == close_prefixes([g.dops for g in children], n)
-    assert_checked((), closed)
+    assert_checked((), closed, lambda_c)
 
 
 @st.composite
@@ -300,13 +325,13 @@ def small_params(draw):
     )
 
 
-def assert_checked(children, closed):
+def assert_checked(children, closed, lambda_c):
     """Each pool code equals its checked construction, with plain int fields.
 
     Extension's children equal `PartialDopr` of their fields, and each
-    closed code equals `StandardDopr` of its own, carrying the folded
-    distances its differences give, counted with multiplicity, as are the
-    triple keys any code carries.
+    closed code equals `StandardDopr` of its own.  Each carries its keys at
+    ``lambda_c`` up to 2, and any keys it holds are those its differences
+    give, counted with multiplicity.
     """
     for g in children:
         assert g == PartialDopr(g.dops, g.n, g.w)
@@ -315,10 +340,11 @@ def assert_checked(children, closed):
         assert c == StandardDopr(c.dops, c.n)
         assert type(c) is StandardDopr
         assert all(type(x) is int for x in (c.n, *c.dops))
-        assert sorted(c._folded) == sorted(_folded_distances(c.dops, c.n))
     for g in (*children, *closed):
-        if "_triples" in vars(g):
-            assert sorted(g._triples) == sorted(_triple_keys(g.closed, g.n))
+        assert lambda_c not in CARRIED or CARRIED[lambda_c] in vars(g)
+        for k, attr in CARRIED.items():
+            if attr in vars(g):
+                assert sorted(vars(g)[attr]) == sorted(_closed_keys(g.closed, g.n, k))
 
 
 @settings(max_examples=150, deadline=None)
@@ -329,8 +355,9 @@ def test_extension_builds_its_checked_construction(case):
     grown = extend_clique_codes([PartialDopr(d, n, w) for d in parents], params)
     short = [g for g in grown if g.u < w - 1]
     closing = [PartialDopr(d, n, w) for d in parents if len(d) == w - 2]
-    assert_checked(grown, oockit.design._closed_children(closing, params))
-    assert_checked(extend_clique_codes(short[:3], params), ())
+    lam = params.lambda_c
+    assert_checked(grown, oockit.design._grow(closing, params, True), lam)
+    assert_checked(extend_clique_codes(short[:3], params), (), lam)
 
 
 @settings(max_examples=40, deadline=None)
@@ -339,24 +366,18 @@ def test_designer_pools_equal_their_checked_construction(params):
     """Every pool code of a design, opening pairs to closed codes, λ up to 2."""
     built = []
 
-    def extended(codes, p):
-        out = extend(codes, p)
-        built.append((out, ()))
+    def grown(codes, p, last):
+        out = grow(codes, p, last)
+        built.append(((), out) if last else (out, ()))
         return out
 
-    def closed(parents, p):
-        out = close(parents, p)
-        built.append(((), out))
-        return out
-
-    extend, close = oockit.design.extend_clique_codes, oockit.design._closed_children
+    grow = oockit.design._grow
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oockit.design, "extend_clique_codes", extended)
-        mp.setattr(oockit.design, "_closed_children", closed)
+        mp.setattr(oockit.design, "_grow", grown)
         design_fixed(params, max_sets=2)
-    assert_checked(enumerate_first_pairs(params), ())
+    assert_checked(enumerate_first_pairs(params), (), params.lambda_c)
     for children, complete in built:
-        assert_checked(children, complete)
+        assert_checked(children, complete, params.lambda_c)
 
 
 @pytest.mark.parametrize(
@@ -397,9 +418,9 @@ def test_design_stage_counts(monkeypatch, params, max_sets, graphs, children, cl
 
     Graphs give (nodes, edges), children count the one-difference
     extensions of each stage of `design_fixed`, and closing gives, per
-    `_closed_children` call, its parents' extensions and the closed codes
+    last-stage `_grow` call, its parents' extensions and the closed codes
     it keeps.  The last stage makes no one-short codes, so its children
-    are counted by `extend_clique_codes` on the same parents.
+    are counted by growing the same parents one difference.
     """
     seen_graphs, seen_children, seen_closing = [], [], []
 
@@ -414,17 +435,18 @@ def test_design_stage_counts(monkeypatch, params, max_sets, graphs, children, cl
         seen_children.append(len(out))
         return out
 
-    def closed(parents, p):
-        out = close(parents, p)
-        seen_children.append(len(extend(parents, p)))
-        seen_closing.append((seen_children[-1], len(out)))
+    def grown(codes, p, last):
+        out = grow(codes, p, last)
+        if last:
+            seen_children.append(len(grow(codes, p, False)))
+            seen_closing.append((seen_children[-1], len(out)))
         return out
 
     build = oockit.design.build_graph
-    extend, close = oockit.design.extend_clique_codes, oockit.design._closed_children
+    extend, grow = oockit.design.extend_clique_codes, oockit.design._grow
     monkeypatch.setattr(oockit.design, "build_graph", graphed)
     monkeypatch.setattr(oockit.design, "extend_clique_codes", extended)
-    monkeypatch.setattr(oockit.design, "_closed_children", closed)
+    monkeypatch.setattr(oockit.design, "_grow", grown)
     design_fixed(params, max_sets)
     assert seen_graphs == graphs
     assert seen_children == children
