@@ -84,8 +84,6 @@ def cmd_design(args) -> int:
     count = len(lengths)
     lambda_a = _broadcast(_int_list(args.lambda_a, "--lambda-a"), count, "--lambda-a")
     lambda_c = _broadcast(_int_list(args.lambda_c, "--lambda-c"), count, "--lambda-c")
-    if any(w < 3 for w in weights):
-        raise UsageError("the designer needs weight at least 3")
     try:
         parameter_list = tuple(
             CodeParams(n, w, la, lc)

@@ -73,6 +73,8 @@ class DesignConfig:
             raise ValueError("parameter_list must not be empty")
         if not all(isinstance(p, CodeParams) for p in self.parameter_list):
             raise TypeError("parameter_list entries must be CodeParams")
+        if any(p.w < 3 for p in self.parameter_list):
+            raise ValueError("the designer needs weight at least 3")
         _check_max_sets(self.max_sets)
 
 
@@ -97,49 +99,6 @@ def enumerate_first_pairs(params: CodeParams) -> tuple[PartialDopr, ...]:
     if params.w < 3:
         raise ValueError("opening pairs need weight at least 3")
     return _grow(_singles(params), params, False)
-
-
-def _admitted(code, params: CodeParams, last: bool):
-    """``code``'s one-bit positions and the x its children may add, ascending:
-    the admission rule of `extend_clique_codes`, which states it, and of
-    `_grow`'s last stage, whose parents (``last``) are two short."""
-    n, w, lam = params.n, params.w, params.lambda_a
-    u = code.u
-    if (u + 2 != w if last else u + 1 >= w) or (code.n, code.w) != (n, w):
-        raise ValueError(f"cannot extend {code!r} at n={n}, w={w}")
-    # How often each cyclic distance occurs between the closed companion's
-    # one-bits; the largest count is the companion's self correlation.
-    pos = list(accumulate(code.dops, initial=0))
-    counts = Counter((q - p) % n for p in pos for q in pos if p != q)
-    if max(counts.values()) > lam:
-        return pos, []  # a child's counts are never below its parent's
-    # L_lambda, the distances at the ceiling, and L_(lambda-1).
-    full = sum(1 << m for m, c in counts.items() if c >= lam)
-    near = (
-        sum(1 << m for m, c in counts.items() if c >= lam - 1)
-        if lam > 1
-        else (1 << n) - 1
-    )
-    refused = 0
-    for i, p in enumerate(pos):
-        refused |= full << p | full >> (n - p)
-        for q in pos[i:]:
-            # x = (p + q + n) / 2 lies at distance (q - p + n) / 2 past p.
-            if (q - p + n) % 2 == 0 and near >> (q - p + n) // 2 & 1:
-                refused |= 1 << (p + q + n) // 2
-    total = pos[-1]
-    cap = min(max_difference_at(n, w, u + 1), n - (w - u - 1) - total)
-    admitted = ((1 << cap) - 1) << (total + 1) & ~refused
-    if u == 1:
-        # Opening pairs are of distinct differences.  Elsewhere a
-        # repeated difference d is refused by the mask at lambda 1,
-        # where d is a counted distance, and may be admitted above it.
-        admitted &= ~(1 << (total + code.dops[-1]))
-    xs = []
-    while admitted:
-        xs.append((admitted & -admitted).bit_length() - 1)
-        admitted &= admitted - 1
-    return pos, xs
 
 
 def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
@@ -179,8 +138,8 @@ def extend_clique_codes(codes, params: CodeParams) -> tuple[PartialDopr, ...]:
 
 
 def _grow(codes, params: CodeParams, last: bool) -> tuple:
-    """The children `_admitted` gives ``codes``, parent by parent: the one
-    step that makes every pool.
+    """The children ``codes`` admit under the rule `extend_clique_codes`
+    states, parent by parent: the one step that makes every pool.
 
     Each child is made by construction (`edop._settled`) and carries the
     pattern keys of lambda_c named in `codes._CARRIED`, its parent's plus
@@ -199,15 +158,47 @@ def _grow(codes, params: CodeParams, last: bool) -> tuple:
     is re-rotated rather than thrown away, which would leave the emitted
     sets extendable by its class.
     """
-    n, w = params.n, params.w
+    n, w, lam = params.n, params.w, params.lambda_a
     attr, closing = _CARRIED.get(params.lambda_c, (None, None))
     out: list[PartialDopr | StandardDopr] = []
     classes: set[tuple[int, ...]] = set()
     for code in dict.fromkeys(codes):
-        pos, xs = _admitted(code, params, last)
+        u = code.u
+        if (u + 2 != w if last else u + 1 >= w) or (code.n, code.w) != (n, w):
+            raise ValueError(f"cannot extend {code!r} at n={n}, w={w}")
+        # How often each cyclic distance occurs between the closed companion's
+        # one-bits; the largest count is the companion's self correlation.
+        pos = list(accumulate(code.dops, initial=0))
+        counts = Counter((q - p) % n for p in pos for q in pos if p != q)
+        if max(counts.values()) > lam:
+            continue  # a child's counts are never below its parent's
+        # L_lambda, the distances at the ceiling, and L_(lambda-1).
+        full = sum(1 << m for m, c in counts.items() if c >= lam)
+        near = (
+            sum(1 << m for m, c in counts.items() if c >= lam - 1)
+            if lam > 1
+            else (1 << n) - 1
+        )
+        refused = 0
+        for i, p in enumerate(pos):
+            refused |= full << p | full >> (n - p)
+            for q in pos[i:]:
+                # x = (p + q + n) / 2 lies at distance (q - p + n) / 2 past p.
+                if (q - p + n) % 2 == 0 and near >> (q - p + n) // 2 & 1:
+                    refused |= 1 << (p + q + n) // 2
+        total = pos[-1]
+        cap = min(max_difference_at(n, w, u + 1), n - (w - u - 1) - total)
+        admitted = ((1 << cap) - 1) << (total + 1) & ~refused
+        if u == 1:
+            # Opening pairs are of distinct differences.  Elsewhere a
+            # repeated difference d is refused by the mask at lambda 1,
+            # where d is a counted distance, and may be admitted above it.
+            admitted &= ~(1 << (total + code.dops[-1]))
         top, keys = max(code.dops), getattr(code, attr) if attr else ()
-        for x in xs:
-            d = x - pos[-1]
+        while admitted:  # the admitted x, ascending
+            x = (admitted & -admitted).bit_length() - 1
+            admitted &= admitted - 1
+            d = x - total
             if not last:
                 made = _settled(PartialDopr, dops=code.dops + (d,), n=n, w=w)
             else:

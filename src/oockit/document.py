@@ -122,14 +122,12 @@ def document_from_family(family: Family, config: dict | None = None) -> CodeSetD
 
 
 def to_canonical_json(doc: CodeSetDocument) -> str:
-    """Serialize with sorted keys, two-space indent, trailing newline."""
+    """Serialize with sorted keys, two-space indent, trailing newline; the
+    fields above the sets the reader refuses raise its `DocumentError`."""
+    prov = {"tool": doc.tool, "version": doc.version, "config": doc.config}
     payload = {
         "format_version": doc.format_version,
-        "provenance": {
-            "tool": doc.tool,
-            "version": doc.version,
-            "config": doc.config,
-        },
+        "provenance": _provenance(doc.format_version, prov),
         "family_interset_lambda": doc.family_interset_lambda,
         "sets": [
             {
@@ -189,7 +187,7 @@ def _code(raw, where: str, i: int) -> DocumentCode:
     return DocumentCode(dopr, _integer_list(raw["wpr"], f"{where}.wpr"))
 
 
-# The writer's encoding (`to_canonical_json`), refusing NaN and infinities.
+# Standard JSON only: the reader and the writer refuse NaN and infinities.
 _STANDARD_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 

@@ -313,6 +313,16 @@ def test_extension_refuses_a_parent_of_other_parameters(parent):
         extend_clique_codes([parent, PartialDopr((1, 5), 25, 4)], params)
 
 
+@pytest.mark.parametrize(
+    "parent", [PartialDopr((2, 9, 3, 1), 25, 5), PartialDopr((2, 9), 25, 5)]
+)
+def test_the_last_stage_refuses_a_parent_not_two_short(parent):
+    """One short (its closing is forced already) or three short (it would
+    close with a difference missing)."""
+    with pytest.raises(ValueError, match=r"cannot extend PartialDopr.* at n=25, w=5"):
+        oockit.design._grow([parent], CodeParams(25, 5, 1, 1), True)
+
+
 @st.composite
 def small_params(draw):
     """A tuple with w 3..5, n up to 31 and each ceiling 1 or 2, unequal allowed."""
@@ -546,6 +556,9 @@ def test_designer_rejects_tiny_weights():
 def test_config_validation():
     with pytest.raises(ValueError):
         DesignConfig(())
+    # Refused when built, before a merge designs its earlier tuples.
+    with pytest.raises(ValueError, match="the designer needs weight at least 3"):
+        DesignConfig((CodeParams(91, 3, 1, 1), CodeParams(9, 2, 1, 1)))
     with pytest.raises(TypeError):
         DesignConfig(((13, 4, 1, 1),))
     with pytest.raises(ValueError):
@@ -696,10 +709,17 @@ def test_dedup_by_class_feeds_the_final_stage():
 
 @st.composite
 def reference_tuples(draw):
-    """(n, w, lambda_a, lambda_c) with w 3..5, n up to 19 (16 at w = 5)."""
-    w = draw(st.integers(3, 5))
-    n = draw(st.integers(w + 1, 16 if w == 5 else 19))
-    return (n, w, *draw(st.sampled_from(((1, 1), (2, 2), (1, 2), (2, 1)))))
+    """(n, w, lambda_a, lambda_c) with ceilings 1..3 and w 3..5 above both,
+    n up to 19 (16 at w = 5, 13 at a ceiling of 3, where pool codes carry
+    no keys and graphs key row subsets)."""
+    ceilings = draw(
+        st.sampled_from(
+            ((1, 1), (2, 2), (1, 2), (2, 1), (3, 3), (1, 3), (3, 1), (2, 3), (3, 2))
+        )
+    )
+    w = draw(st.integers(max(3, max(ceilings) + 1), 5))
+    top = 13 if max(ceilings) == 3 else 16 if w == 5 else 19
+    return (draw(st.integers(w + 1, top)), w, *ceilings)
 
 
 @settings(max_examples=60, deadline=None)

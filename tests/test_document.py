@@ -539,9 +539,8 @@ def test_non_integer_family_level_fails_family_separation(doc, kind):
     ],
 )
 def test_provenance_the_reader_refuses_fails_document_format(changes, message):
-    # Each would verify clean and then be written to a file the reader
-    # refuses (NaN as the non-standard token NaN); it fails first instead,
-    # with the reader's message, and the set rules still run.
+    # The writer refuses each with the reader's message, so no such file is
+    # written; verify fails it with that message, and the set rules still run.
     tampered = dataclasses.replace(DOC13, **changes)
     with pytest.raises(DocumentError) as excinfo:
         from_json(to_canonical_json(tampered))
@@ -549,6 +548,19 @@ def test_provenance_the_reader_refuses_fails_document_format(changes, message):
     report = verify_document(tampered)
     assert report.checks[0] == oockit.document.Check("document-format", False, message)
     assert report.checks[1:] == verify_document(DOC13).checks
+
+
+def test_the_writer_refuses_provenance_the_reader_refuses():
+    """NaN would be written as the non-standard token NaN, which the reader
+    refuses; the write itself raises the reader's error."""
+    message = "provenance.config is not standard JSON"
+    tampered = dataclasses.replace(DOC13, config={"seed": float("nan")})
+    with pytest.raises(DocumentError, match=message):
+        to_canonical_json(tampered)
+    payload = payload_of(DOC13)
+    payload["provenance"]["config"] = {"seed": float("nan")}
+    with pytest.raises(DocumentError, match=message):
+        doc_from_payload(payload)  # json.dumps writes the token NaN
 
 
 def test_tamper_stored_auto_correlation():

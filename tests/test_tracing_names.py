@@ -4,7 +4,8 @@
 attributes such as ``oockit.design.build_graph``.  A name dropped from a
 module (an import that looks unused, say) would only fail a traced
 benchmark run; this test fails first.  The reverse holds too: an import
-a module keeps only for the tracer is one the tracer still swaps.
+a module keeps only for the tracer is one the tracer still swaps.  And
+the tracer's readings of a traced design stay those of the work done.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 import oockit.cli  # noqa: F401  (the benchmark imports it too; oockit does not)
-from oockit import CodeParams, build_graph, enumerate_first_pairs
+from oockit import CodeParams, build_graph, design, enumerate_first_pairs
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -68,3 +69,25 @@ def test_graph_counts_read_the_graph_the_designer_builds():
     assert counts["cliques.build_graph.nodes"] == 110
     assert counts["cliques.build_graph.pairs"] == 110 * 109 // 2
     assert counts["cliques.build_graph.edges"] == 2172
+
+
+def test_traced_design_reads_the_pool_making_work():
+    """The lambda2 ladder, traced: a refactor that moves pool-making work
+    out of a swapped name changes these readings and fails here, not only
+    in a traced benchmark run.  Readings that are 0 on this ladder are
+    left out, as they show nothing."""
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        for t in ((25, 4, 2, 2), (25, 5, 2, 2), (25, 4, 1, 2)):
+            design.design_fixed(CodeParams(*t))
+    finally:
+        tracer.uninstall()
+    readings = {
+        "design.enumerate_first_pairs.out": 300,
+        "design.extend_clique_codes.out": 810,
+        "cliques.build_graph.calls": 7,
+        "cliques.build_graph.nodes": 1922,
+        "cliques.enumerate_cliques.cliques": 26,
+    }
+    assert {name: tracer.counts[name] for name in readings} == readings
