@@ -27,7 +27,7 @@ from .codes import (
     wpr_from_binary,
     wpr_from_dopr,
 )
-from .correlation import johnson_bound
+from .correlation import set_size_bound
 from .design import DesignConfig, design_multi
 from .document import (
     DocumentError,
@@ -146,7 +146,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     try:
-        print(johnson_bound(args.n, args.w, args.level))
+        print(set_size_bound(CodeParams(args.n, args.w, args.level, args.level))[0])
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc))
     return EXIT_OK

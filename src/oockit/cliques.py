@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .codes import CodeParams, Dopr
-from .correlation import _row_overlaps, interset_crosscorr, johnson_bound
+from .correlation import _row_overlaps, interset_crosscorr, set_size_bound
 from .edop import _check_integers, _settled
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
@@ -308,8 +308,8 @@ def make_clique_set(codes, params: CodeParams) -> CliqueSet:
     sorted canonically.  Self correlations and pairwise cross correlations are
     recomputed by the table route and checked against the parameters; a
     singleton records a pairwise value of 0 since it has no pairs.  The
-    cardinality bound is recorded, and enforced when the two correlation
-    ceilings coincide (the regime the bound is stated for).
+    cardinality bound is recorded and, where it is enforced, checked, both
+    as `set_size_bound` states them.
     """
     codes = tuple(codes)
     if not codes:
@@ -333,8 +333,8 @@ def make_clique_set(codes, params: CodeParams) -> CliqueSet:
         raise ValueError(
             f"set cross correlation {lam_c} exceeds lambda_c={params.lambda_c}"
         )
-    bound = johnson_bound(params.n, params.w, max(params.lambda_a, params.lambda_c))
-    if params.lambda_a == params.lambda_c and len(ordered) > bound:
+    bound, enforced = set_size_bound(params)
+    if enforced and len(ordered) > bound:
         raise RuntimeError(
             f"{len(ordered)} codes exceed the cardinality bound {bound}; "
             "this would contradict the bound and indicates a defect"

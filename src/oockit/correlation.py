@@ -37,7 +37,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, count, product
 
-from .codes import BinaryCode, Dopr, PartialDopr, Wpr, _DifferenceForm
+from .codes import BinaryCode, CodeParams, Dopr, PartialDopr, Wpr, _DifferenceForm
 from .codes import wpr_from_binary, wpr_from_dopr
 from .edop import EdopMatrix, _check_integers
 
@@ -56,6 +56,7 @@ __all__ = [
     "set_lambda_c",
     "interset_crosscorr",
     "johnson_bound",
+    "set_size_bound",
 ]
 
 
@@ -429,3 +430,15 @@ def johnson_bound(n: int, w: int, lam: int) -> int:
     for i in range(lam, 0, -1):
         acc = (n - i) * acc // (w - i)
     return acc // w
+
+
+def set_size_bound(params: CodeParams) -> tuple[int, bool]:
+    """The bound a set of `params` records, and whether it must hold.
+
+    The one statement of the set-size rule, read by the designer's guard,
+    by verify and by ``oockit bound``: `johnson_bound` at the larger
+    correlation ceiling, enforced only when the two ceilings coincide,
+    the regime the bound is stated for.
+    """
+    bound = johnson_bound(params.n, params.w, max(params.lambda_a, params.lambda_c))
+    return bound, params.lambda_a == params.lambda_c

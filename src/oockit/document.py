@@ -3,10 +3,12 @@
 A document stores the designed sets with their parameters, the recorded
 correlation levels, and enough provenance to reproduce the run.  The JSON
 form is canonical (sorted keys, two-space indent, trailing newline) so a
-byte comparison detects any edit.  Reading is strict about shape but keeps
-the numbers raw; `verify_document` re-derives every claimed property and
-reports one named check per rule, so a tampered file fails with the rule
-it broke rather than a parse error.
+byte comparison detects any edit.  Reading is strict about shape, a key
+given twice in one object included, but keeps the numbers raw; the writer
+runs the reader's rules on what it is about to write, so it writes no
+document the reader refuses.  `verify_document` re-derives every claimed
+property and reports one named check per rule, so a tampered file fails
+with the rule it broke rather than a parse error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import accumulate
 
 from .cliques import Family
 from .codes import CodeParams, _standard_rotation, wpr_from_dopr
-from .correlation import _row_overlaps, _shift_peaks, johnson_bound
+from .correlation import _row_overlaps, _shift_peaks, set_size_bound
 from .edop import _PLAIN_INT, EdopMatrix, _anchored_rows, _settled
 
 # Unused here, but perfbench/tracing.py counts calls by swapping these
@@ -122,12 +124,16 @@ def document_from_family(family: Family, config: dict | None = None) -> CodeSetD
 
 
 def to_canonical_json(doc: CodeSetDocument) -> str:
-    """Serialize with sorted keys, two-space indent, trailing newline; the
-    fields above the sets the reader refuses raise its `DocumentError`."""
+    """Serialize with sorted keys, two-space indent, trailing newline.
+
+    The payload passes the reader's rules (`_read`) before it is dumped,
+    so a document the reader would refuse raises its `DocumentError`,
+    with its message, and is not written.
+    """
     prov = {"tool": doc.tool, "version": doc.version, "config": doc.config}
     payload = {
         "format_version": doc.format_version,
-        "provenance": _provenance(doc.format_version, prov),
+        "provenance": prov,
         "family_interset_lambda": doc.family_interset_lambda,
         "sets": [
             {
@@ -140,6 +146,7 @@ def to_canonical_json(doc: CodeSetDocument) -> str:
             for s in doc.sets
         ],
     }
+    _read(payload)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -211,18 +218,39 @@ def _provenance(version, prov) -> dict:
     return prov
 
 
+def _unique_keys(pairs: list) -> dict:
+    """`json.loads`'s object hook: a name given twice in one object is
+    refused rather than resolved to its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def from_json(text: str) -> CodeSetDocument:
-    """Parse a document, rejecting unknown fields, missing fields, and
-    wrong types; a stored code is read entry by entry only when one type
-    test of its lists fails, to name its first fault.  Stored numbers are
-    kept as-is; whether they are consistent is `verify_document`'s job.
-    """
+    """Parse a document as strict JSON, an object naming a key twice
+    refused, and read it by `_read`'s rules."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
-        # ValueError covers malformed JSON and integer literals past the
-        # interpreter's digit limit; RecursionError, nesting past its depth.
+        # ValueError covers malformed JSON, a duplicated key and integer
+        # literals past the interpreter's digit limit; RecursionError,
+        # nesting past its depth.
         raise DocumentError(f"not valid JSON: {exc}") from None
+    return _read(payload)
+
+
+def _read(payload) -> CodeSetDocument:
+    """The reader's rules, shared by the writer: reject unknown fields,
+    missing fields, and wrong types; a stored code is read entry by entry
+    only when one type test of its lists fails, to name its first fault.
+    Stored numbers are kept as-is; whether they are consistent is
+    `verify_document`'s job.
+    """
     top = _object(
         payload,
         {"format_version", "provenance", "family_interset_lambda", "sets"},
@@ -469,12 +497,12 @@ def verify_document(doc: CodeSetDocument) -> VerificationReport:
                     problems["shared-difference"].append(
                         f"set {k} codes {i},{j}: shared table entries {sorted(shared)}"
                     )
-        expected = johnson_bound(p.n, p.w, max(p.lambda_a, p.lambda_c))
+        expected, enforced = set_size_bound(p)
         if s.bound != expected:
             problems["set-size-bound"].append(
                 f"set {k}: stored bound {s.bound}, recomputed {expected}"
             )
-        elif p.lambda_a == p.lambda_c and size > expected:
+        elif enforced and size > expected:
             problems["set-size-bound"].append(
                 f"set {k}: {size} codes exceed the bound {expected}"
             )

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oockit import (
     BinaryCode,
+    CodeParams,
     Dopr,
     PartialDopr,
     Wpr,
@@ -25,6 +26,7 @@ from oockit import (
     johnson_bound,
     set_lambda_a,
     set_lambda_c,
+    set_size_bound,
 )
 
 from oockit.correlation import _row_overlaps, _shift_peaks
@@ -37,6 +39,7 @@ from oracles import (
     gaps_of,
     max_auto,
     max_cross,
+    nested_floor_bound,
 )
 
 X = BinaryCode((0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0))
@@ -283,6 +286,15 @@ def test_johnson_bound_validates_arguments():
         johnson_bound(13.0, 4, 1)
     with pytest.raises(ValueError):
         johnson_bound(25, 3, True)
+
+
+def test_set_size_bound_is_the_bound_at_the_larger_ceiling():
+    # Recorded at max(lambda_a, lambda_c), enforced only when they coincide.
+    for w in range(3, 7):
+        ceilings = range(1, min(4, w))
+        for n, a, c in itertools.product(range(w + 1, 41), ceilings, ceilings):
+            expected = (nested_floor_bound(n, w, max(a, c)), a == c)
+            assert set_size_bound(CodeParams(n, w, a, c)) == expected, (n, w, a, c)
 
 
 def test_set_helpers():

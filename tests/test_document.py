@@ -8,6 +8,7 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oockit.cliques
 import oockit.document
 from oockit import (
     CodeParams,
@@ -18,6 +19,7 @@ from oockit import (
     document_from_family,
     family_to_csv,
     from_json,
+    make_clique_set,
     standardize,
     to_canonical_json,
     verify_document,
@@ -269,6 +271,12 @@ def test_reader_checks_stored_entries_without_a_per_entry_call(monkeypatch):
 def test_reader_rejects_non_json():
     with pytest.raises(DocumentError, match="not valid JSON"):
         from_json("{not json")
+    # A key given twice: kept as its last value, the false bound hidden
+    # before the true one would verify clean.
+    text = to_canonical_json(DOC25).replace('"bound": 4', '"bound": 999, "bound": 4', 1)
+    with pytest.raises(DocumentError) as excinfo:
+        from_json(text)
+    assert str(excinfo.value) == "not valid JSON: duplicate key 'bound'"
 
 
 def test_reader_names_a_document_or_set_that_is_not_an_object():
@@ -429,6 +437,20 @@ def test_set_size_bound_skips_structurally_bad_sets():
     assert "sets [1] not evaluated" in detail["set-size-bound"]
 
 
+def test_the_guard_and_verify_read_one_set_size_rule(monkeypatch):
+    # A smaller enforced bound, given where both modules read the rule,
+    # reaches the designer's guard and the verify rule alike.
+    codes = [Dopr(c.dopr, 25) for c in DOC25.sets[0].codes]
+    params = CodeParams(25, 3, 1, 1)
+    assert len(make_clique_set(codes, params).codes) == 4
+    assert verify_document(DOC25).ok
+    for module in (oockit.cliques, oockit.document):
+        monkeypatch.setattr(module, "set_size_bound", lambda params: (3, True))
+    with pytest.raises(RuntimeError, match="4 codes exceed the cardinality bound 3"):
+        make_clique_set(codes, params)
+    assert failed_rules(DOC25) == {"set-size-bound"}
+
+
 def with_first_set(doc, **changes):
     """``doc`` with its first set changed: a document built in code, which
     `from_json` would refuse."""
@@ -550,17 +572,45 @@ def test_provenance_the_reader_refuses_fails_document_format(changes, message):
     assert report.checks[1:] == verify_document(DOC13).checks
 
 
-def test_the_writer_refuses_provenance_the_reader_refuses():
-    """NaN would be written as the non-standard token NaN, which the reader
-    refuses; the write itself raises the reader's error."""
-    message = "provenance.config is not standard JSON"
-    tampered = dataclasses.replace(DOC13, config={"seed": float("nan")})
-    with pytest.raises(DocumentError, match=message):
-        to_canonical_json(tampered)
-    payload = payload_of(DOC13)
-    payload["provenance"]["config"] = {"seed": float("nan")}
-    with pytest.raises(DocumentError, match=message):
-        doc_from_payload(payload)  # json.dumps writes the token NaN
+def test_the_writer_refuses_provenance_the_reader_refuses(monkeypatch):
+    """The write of each document the reader would refuse raises, with the
+    message the reader gives for the file an unchecked writer writes (NaN
+    and infinities as the non-standard tokens NaN and Infinity)."""
+    nan, inf = float("nan"), float("inf")
+    code = DOC13.sets[0].codes[0]
+    true_entry = DocumentCode((True, *code.dopr[1:]), code.wpr)
+    cases = [
+        (
+            dataclasses.replace(DOC13, config={"seed": nan}),
+            "provenance.config is not standard JSON: "
+            "Out of range float values are not JSON compliant",
+        ),
+        (with_first_set(DOC13, bound=nan), "sets[0].bound must be an integer"),
+        (with_first_set(DOC13, bound=1.0), "sets[0].bound must be an integer"),
+        (
+            with_first_set(DOC13, verified_lambda_a=True),
+            "sets[0].verified_lambda_a must be an integer",
+        ),
+        (
+            dataclasses.replace(DOC13, family_interset_lambda=inf),
+            "family_interset_lambda must be an integer",
+        ),
+        (
+            with_first_set(DOC13, codes=(true_entry,)),
+            "sets[0].codes[0].dopr[0] must be an integer",
+        ),
+        (with_first_set(DOC13, codes=()), "sets[0].codes must be a non-empty array"),
+    ]
+    for tampered, message in cases:
+        with pytest.raises(DocumentError) as excinfo:
+            to_canonical_json(tampered)
+        assert str(excinfo.value) == message
+        with monkeypatch.context() as unchecked:
+            unchecked.setattr(oockit.document, "_read", lambda payload: None)
+            text = to_canonical_json(tampered)
+        with pytest.raises(DocumentError) as excinfo:
+            from_json(text)
+        assert str(excinfo.value) == message
 
 
 def test_tamper_stored_auto_correlation():
