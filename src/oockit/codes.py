@@ -44,13 +44,13 @@ mixed lengths keep every subset.
 
 The keys at k = 1 and k = 2 are counted one point at a time: the pairs
 and triples a one-bit c closes with the one-bits below it.  One table,
-`_CARRIED`, names for k = 1 and k = 2 the attribute that holds a code's
-keys and the function that counts the keys one point closes.  A code
-computes its keys on first use and keeps them; the designer
-instead hands each code it makes the keys of its design threshold
-lambda_c alone, its parent's plus those its new one-bit closes, so no
-pool code computes its own.  Above k = 2 nothing is carried: those
-graphs read row subsets.
+`_CARRIED`, names for k = 1 and k = 2 the function that counts the keys
+one point closes.  A code computes its keys on first use and keeps them.
+The designer makes no code object for its pools: each pool row carries
+the keys of its design threshold lambda_c, its parent's plus those its
+new one-bit closes.  Above k = 2 a row holds its row subsets, from
+`_row_subsets`, the function `_DifferenceForm._pattern_keys` reads them
+from too.
 """
 
 from __future__ import annotations
@@ -167,20 +167,28 @@ def _triples_closing_at(pos, c: int, n: int) -> tuple[int, ...]:
     return tuple(keys)
 
 
-# Per threshold k the designer carries: the attribute holding a code's
-# keys and the keys one point closes with the points below it.
-_CARRIED = {1: ("_folded", _folds_closing_at), 2: ("_triples", _triples_closing_at)}
+# Per threshold k the designer carries keys at, the function counting the
+# keys one point closes with the points below it.
+_CARRIED = {1: _folds_closing_at, 2: _triples_closing_at}
 
 
 def _closed_keys(dops: tuple[int, ...], n: int, k: int) -> list[int]:
     """The threshold-k keys of the closed code ``dops``, k in `_CARRIED`,
     one point at a time: a point closes keys only with k points below it."""
-    closing = _CARRIED[k][1]
+    closing = _CARRIED[k]
     pos = list(accumulate(dops[:-1], initial=0))
     keys: list[int] = []
     for j in range(k, len(pos)):
         keys += closing(pos[:j], pos[j], n)
     return keys
+
+
+def _row_subsets(dops: tuple[int, ...], k: int, top: int) -> list[tuple[int, ...]]:
+    """The k-entry subsets s of the rows of the closed code ``dops``'s
+    table with s_1 + s_k <= ``top``: its kept anchorings at ``top`` = n,
+    and every subset at ``top`` = 2n, as every entry is below n."""
+    rows = _anchored_rows(dops)
+    return [s for row in rows for s in combinations(row, k) if s[0] + s[-1] <= top]
 
 
 class _DifferenceForm:
@@ -199,14 +207,13 @@ class _DifferenceForm:
     @cached_property
     def _folded(self) -> tuple[int, ...]:
         """The closed tuple's min(d, n - d) per pair of one-bits, its k = 1
-        pattern keys; the designer sets them on the codes it makes at
-        lambda_c 1."""
+        pattern keys, computed on first use and kept."""
         return tuple(_closed_keys(self.closed, self.n, 1))
 
     @cached_property
     def _triples(self) -> tuple[int, ...]:
-        """The closed tuple's k = 2 pattern keys at its length; the designer
-        sets them on the codes it makes at lambda_c 2."""
+        """The closed tuple's k = 2 pattern keys at its length, computed on
+        first use and kept."""
         return tuple(_closed_keys(self.closed, self.n, 2))
 
     def _pattern_keys(self, k: int, one_length: bool):
@@ -226,9 +233,7 @@ class _DifferenceForm:
             raise ValueError("difference tables need weight >= 2")
         if one_length and k <= 2:
             return self._folded if k == 1 else self._triples
-        rows = _anchored_rows(self.closed)
-        n = self.n if one_length else 2 * self.n  # entries < n: every subset kept
-        return [s for row in rows for s in combinations(row, k) if s[0] + s[-1] <= n]
+        return _row_subsets(self.closed, k, self.n if one_length else 2 * self.n)
 
 
 @dataclass(frozen=True)
@@ -286,7 +291,7 @@ def _standard_rotation(dops: tuple[int, ...]) -> tuple[int, ...]:
 class StandardDopr(Dopr):
     """A Dopr pinned to its canonical rotation; construction re-checks it.
 
-    The designer's closed codes skip it, made canonical by `design._grow`.
+    The designer's set members skip it, made canonical by `design._grow`.
     """
 
     def __post_init__(self) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -38,6 +39,7 @@ from oockit import (
 from oockit import codes
 from oockit.cli import main
 from oockit.codes import _closed_keys
+from oockit.edop import _settled
 
 from oracles import (
     close_prefixes,
@@ -49,9 +51,6 @@ from oracles import (
     unit_auto_classes,
 )
 
-# The attribute in which a designer's code carries its keys at lambda_c.
-CARRIED = {1: "_folded", 2: "_triples"}
-
 P7 = CodeParams(7, 3, 1, 1)
 P13 = CodeParams(13, 4, 1, 1)
 P25 = CodeParams(25, 3, 1, 1)
@@ -62,15 +61,22 @@ def companion_auto(dops, n):
     return max_auto(companion_positions(dops), n)
 
 
+def rows_of(prefixes, params):
+    """Designer rows of ``prefixes`` at ``params``: each prefix and its
+    closed companion's keys at lambda_c, read off a checked `PartialDopr`."""
+    n, w, k = params.n, params.w, params.lambda_c
+    return [(d, PartialDopr(d, n, w)._pattern_keys(k, True)) for d in prefixes]
+
+
 def test_first_pairs_frozen_lists():
-    assert [p.dops for p in enumerate_first_pairs(P13)] == [
+    assert [dops for dops, _ in enumerate_first_pairs(P13)] == [
         (1, 2), (1, 3), (1, 4), (1, 5),
         (2, 1), (2, 3), (2, 4), (2, 5),
         (3, 1), (3, 2), (3, 4),
         (4, 1), (4, 2), (4, 3),
         (5, 1), (5, 2),
     ]
-    assert [p.dops for p in enumerate_first_pairs(P7)] == [(1, 2), (2, 1)]
+    assert [dops for dops, _ in enumerate_first_pairs(P7)] == [(1, 2), (2, 1)]
 
 
 def test_first_pairs_match_the_definition():
@@ -84,13 +90,14 @@ def test_first_pairs_match_the_definition():
                     continue
                 if companion_auto((d1, d2), n) <= params.lambda_a:
                     expect.append((d1, d2))
-        assert [p.dops for p in enumerate_first_pairs(params)] == expect
+        assert [dops for dops, _ in enumerate_first_pairs(params)] == expect
 
 
 def test_first_pairs_are_partials_of_the_right_shape():
-    for p in enumerate_first_pairs(P13):
-        assert isinstance(p, PartialDopr)
-        assert (p.n, p.w, p.u) == (13, 4, 2)
+    """Each row is a two-difference prefix at (13, 4) and its folded distances."""
+    for dops, keys in enumerate_first_pairs(P13):
+        assert PartialDopr(dops, 13, 4).u == 2
+        assert sorted(keys) == sorted(_closed_keys(dops + (13 - sum(dops),), 13, 1))
 
 
 def test_first_pairs_reject_degenerate_weights():
@@ -99,9 +106,8 @@ def test_first_pairs_reject_degenerate_weights():
 
 
 def test_extension_respects_range_room_and_correlation():
-    prefix = PartialDopr((2, 3), 13, 4)
-    grown = extend_clique_codes([prefix], P13)
-    kept = {g.dops[-1] for g in grown}
+    grown = extend_clique_codes(rows_of([(2, 3)], P13), P13)
+    kept = {dops[-1] for dops, _ in grown}
     # Recompute the admissible range and filter from the definition.
     cap = min(max_difference_at(13, 4, 3), 13 - 1 - 5)
     expect = set()
@@ -145,95 +151,97 @@ def extension_parents(draw):
 def test_extension_equals_the_candidate_by_candidate_check(case):
     params, parents = case
     n, w = params.n, params.w
-    grown = extend_clique_codes([PartialDopr(d, n, w) for d in parents], params)
-    assert [g.dops for g in grown] == extend_prefixes(parents, n, w, params.lambda_a)
-    assert all(isinstance(g, PartialDopr) and (g.n, g.w) == (n, w) for g in grown)
+    grown = extend_clique_codes(rows_of(parents, params), params)
+    assert [dops for dops, _ in grown] == extend_prefixes(
+        parents, n, w, params.lambda_a
+    )
+    for dops, _ in grown:
+        PartialDopr(dops, n, w)  # the checked constructor refuses a bad prefix
     firsts = [(d,) for d in range(1, max_difference_at(n, w, 1) + 1)]
-    assert [p.dops for p in enumerate_first_pairs(params)] == extend_prefixes(
+    assert [dops for dops, _ in enumerate_first_pairs(params)] == extend_prefixes(
         firsts, n, w, params.lambda_a
     )
 
 
 def grown_and_closed(params, parents):
     """Extension's children of ``parents``, a pool grown from a few of them
-    until every code is at most two short, and the closed children of the
-    two-short codes, each made as the designer makes it."""
-    n, w = params.n, params.w
-    grown = extend_clique_codes([PartialDopr(d, n, w) for d in parents], params)
+    until every row is at most two short, and the closed children of the
+    two-short rows, each made as the designer makes it."""
+    w = params.w
+    grown = extend_clique_codes(rows_of(parents, params), params)
     pool = list(grown)
-    while short := [g for g in pool if g.u < w - 2]:
-        pool = [g for g in pool if g.u >= w - 2]
+    while short := [g for g in pool if len(g[0]) < w - 2]:
+        pool = [g for g in pool if len(g[0]) >= w - 2]
         pool += extend_clique_codes(short[:3], params)
-    two_short = [g for g in pool if g.u == w - 2]
+    two_short = [g for g in pool if len(g[0]) == w - 2]
     return grown, pool, oockit.design._grow(two_short, params, True)
+
+
+def closed_of(dops, n, w):
+    """The closed tuple a designer row at (n, w) stands for."""
+    return dops if len(dops) == w else dops + (n - sum(dops),)
 
 
 @settings(max_examples=100, deadline=None)
 @given(extension_parents())
 def test_children_carry_their_companions_folded_distances(case):
-    """Extension hands each child its folded distances for the graph build.
+    """Extension hands each child row its folded distances for the graph build.
 
     A child carries its parent's plus those of its new one-bit, and so
-    does each complete code the last stage of `_grow` makes; the
-    unit-threshold graphs keyed by the carried values equal those of fresh
-    copies, which compute their own.  At lambda_c 1 no code carries triple
-    keys.
+    does each complete row the last stage of `_grow` makes, each distance
+    as often as its closed tuple holds it and nothing else: no triple
+    keys.  The unit-threshold graphs keyed by the carried values equal
+    those of fresh codes, which compute their own.
     """
     params, parents = case
     n, w = params.n, params.w
     grown, pool, complete = grown_and_closed(params, parents)
-    # Checked before any graph reads them, so none was computed on demand.
-    for g in (*grown, *pool):
-        assert "_folded" in vars(g) and "_triples" not in vars(g)
-        closed = g.dops + (n - sum(g.dops),)
-        assert set(g._folded) == set(_closed_keys(closed, n, 1))
-    for c in complete:
-        assert "_folded" in vars(c) and "_triples" not in vars(c)
-        assert set(c._folded) == set(_closed_keys(c.dops, n, 1))
-    fresh = [PartialDopr(g.dops, n, w) for g in grown]
+    for dops, keys in (*grown, *pool, *complete):
+        assert sorted(keys) == sorted(_closed_keys(closed_of(dops, n, w), n, 1))
+    fresh = [PartialDopr(dops, n, w) for dops, _ in grown]
     assert build_graph(grown, 1).masks == build_graph(fresh, 1).masks
-    fresh = [Dopr(c.dops, n) for c in complete]
+    fresh = [Dopr(dops, n) for dops, _ in complete]
     assert build_graph(complete, 1).masks == build_graph(fresh, 1).masks
 
 
 @settings(max_examples=100, deadline=None)
 @given(extension_parents())
 def test_children_carry_their_companions_triple_keys(case):
-    """At lambda_c 2 a child carries its parent's triple keys plus those of
-    the triples its new one-bit closes, and so does each closed code; the
-    threshold-2 graphs keyed by the carried values equal those of fresh
-    copies, which compute their own.  No code carries folded distances,
-    which only a threshold-1 graph reads."""
+    """At lambda_c 2 a child row carries its parent's triple keys plus those
+    of the triples its new one-bit closes, and so does each closed row,
+    and nothing else: no folded distances, which only a threshold-1 graph
+    reads.  The threshold-2 graphs keyed by the carried values equal those
+    of fresh codes, which compute their own."""
     params, parents = case
     params = replace(params, lambda_c=2)
     n, w = params.n, params.w
     grown, pool, complete = grown_and_closed(params, parents)
-    # Checked before any graph reads them, so none was computed on demand.
-    for g in (*grown, *pool, *complete):
-        assert "_triples" in vars(g) and "_folded" not in vars(g)
-        assert sorted(g._triples) == sorted(_closed_keys(g.closed, n, 2))
-    fresh = [PartialDopr(g.dops, n, w) for g in grown]
+    for dops, keys in (*grown, *pool, *complete):
+        assert sorted(keys) == sorted(_closed_keys(closed_of(dops, n, w), n, 2))
+    fresh = [PartialDopr(dops, n, w) for dops, _ in grown]
     assert build_graph(grown, 2).masks == build_graph(fresh, 2).masks
-    fresh = [Dopr(c.dops, n) for c in complete]
+    fresh = [Dopr(dops, n) for dops, _ in complete]
     assert build_graph(complete, 2).masks == build_graph(fresh, 2).masks
 
 
 @settings(max_examples=60, deadline=None)
 @given(extension_parents())
-def test_children_above_lambda_c_2_carry_no_keys(case):
-    """At lambda_c 3 the graphs read row subsets, so no child or closed code
-    carries folded distances or triple keys, and the threshold-3 graphs
-    equal those of fresh copies."""
+def test_children_above_lambda_c_2_carry_their_row_subsets(case):
+    """At lambda_c 3 the graphs read row subsets, so each child row and
+    closed row holds those of its closed tuple, as a fresh code keys
+    itself, and the threshold-3 graphs equal those of fresh codes."""
     params, parents = case
     assume(params.w >= 4)
     params = replace(params, lambda_c=3)
     n, w = params.n, params.w
     grown, pool, complete = grown_and_closed(params, parents)
-    for g in (*grown, *pool, *complete):
-        assert "_folded" not in vars(g) and "_triples" not in vars(g)
-    fresh = [PartialDopr(g.dops, n, w) for g in grown]
+    for dops, keys in (*grown, *pool):
+        assert sorted(keys) == sorted(PartialDopr(dops, n, w)._pattern_keys(3, True))
+    for dops, keys in complete:
+        assert sorted(keys) == sorted(Dopr(dops, n)._pattern_keys(3, True))
+    fresh = [PartialDopr(dops, n, w) for dops, _ in grown]
     assert build_graph(grown, 3).masks == build_graph(fresh, 3).masks
-    fresh = [Dopr(c.dops, n) for c in complete]
+    fresh = [Dopr(dops, n) for dops, _ in complete]
     assert build_graph(complete, 3).masks == build_graph(fresh, 3).masks
 
 
@@ -255,12 +263,14 @@ def test_closed_children_are_the_closed_extensions(case, lambda_c):
     assume(params.w > lambda_c)
     params = replace(params, lambda_c=lambda_c)
     n, w = params.n, params.w
-    parents = [PartialDopr(d, n, w) for d in parents if len(d) == w - 2]
+    parents = rows_of([d for d in parents if len(d) == w - 2], params)
     assume(parents)
     closed = oockit.design._grow(parents, params, True)
     children = extend_clique_codes(parents, params)
-    assert [c.dops for c in closed] == close_prefixes([g.dops for g in children], n)
-    assert_checked((), closed, lambda_c)
+    assert [dops for dops, _ in closed] == close_prefixes(
+        [dops for dops, _ in children], n
+    )
+    assert_checked((), closed, params)
 
 
 @st.composite
@@ -283,44 +293,47 @@ def sorted_parents(draw):
 def test_extensions_of_sorted_parents_come_sorted(case):
     # _candidates relies on this order and does not sort its pools.
     params, parents = case
-    n, w = params.n, params.w
-    grown = extend_clique_codes([PartialDopr(d, n, w) for d in parents], params)
-    assert all(a.dops < b.dops for a, b in zip(grown, grown[1:]))
+    grown = extend_clique_codes(rows_of(parents, params), params)
+    assert all(a[0] < b[0] for a, b in zip(grown, grown[1:]))
     pairs = enumerate_first_pairs(params)
-    assert all(a.dops < b.dops for a, b in zip(pairs, pairs[1:]))
+    assert all(a[0] < b[0] for a, b in zip(pairs, pairs[1:]))
 
 
 def test_extensions_deduplicate_across_clique_members():
-    a = PartialDopr((1, 2), 13, 4)
-    b = PartialDopr((1, 2), 13, 4)
+    a, b = rows_of([(1, 2), (1, 2)], P13)
+    assert a is not b
     grown = extend_clique_codes([a, b], P13)
-    assert len({g.dops for g in grown}) == len(grown)
+    assert len({dops for dops, _ in grown}) == len(grown)
+    assert grown == extend_clique_codes([a], P13)
 
 
 def test_extension_refuses_complete_codes():
-    with pytest.raises(ValueError):
-        extend_clique_codes([PartialDopr((1, 3, 2), 13, 4)], P13)
+    with pytest.raises(ValueError, match=r"cannot extend \(1, 3, 2\) at n=13, w=4"):
+        extend_clique_codes(rows_of([(1, 3, 2)], P13), P13)
 
 
-@pytest.mark.parametrize(
-    "parent", [PartialDopr((2, 9), 13, 4), PartialDopr((1, 5), 25, 5)]
-)
+@pytest.mark.parametrize("parent", [(20, 9), (1, 5, 2), (2, 22)])
 def test_extension_refuses_a_parent_of_other_parameters(parent):
-    """A parent at another n or w would give children judged at the wrong
-    length or weight, carrying folded distances of another length."""
+    """A row holds no n or w, so a parent meant for other ones shows as a
+    wrong length, or as a sum that leaves no room for the w - u
+    differences still to come at n.  Either is refused with a message
+    naming (n, w): (20, 9) would otherwise fail on a bare negative shift
+    count, and (2, 22) would yield no children."""
     params = CodeParams(25, 4, 1, 1)
-    with pytest.raises(ValueError, match=r"cannot extend PartialDopr.* at n=25, w=4"):
-        extend_clique_codes([parent, PartialDopr((1, 5), 25, 4)], params)
+    rows = [(parent, ()), *rows_of([(1, 5)], params)]
+    message = rf"cannot extend {re.escape(str(parent))} at n=25, w=4"
+    with pytest.raises(ValueError, match=message):
+        extend_clique_codes(rows, params)
 
 
-@pytest.mark.parametrize(
-    "parent", [PartialDopr((2, 9, 3, 1), 25, 5), PartialDopr((2, 9), 25, 5)]
-)
+@pytest.mark.parametrize("parent", [(2, 9, 3, 1), (2, 9)])
 def test_the_last_stage_refuses_a_parent_not_two_short(parent):
     """One short (its closing is forced already) or three short (it would
     close with a difference missing)."""
-    with pytest.raises(ValueError, match=r"cannot extend PartialDopr.* at n=25, w=5"):
-        oockit.design._grow([parent], CodeParams(25, 5, 1, 1), True)
+    params = CodeParams(25, 5, 1, 1)
+    message = rf"cannot extend {re.escape(str(parent))} at n=25, w=5"
+    with pytest.raises(ValueError, match=message):
+        oockit.design._grow(rows_of([parent], params), params, True)
 
 
 @st.composite
@@ -335,45 +348,39 @@ def small_params(draw):
     )
 
 
-def assert_checked(children, closed, lambda_c):
-    """Each pool code equals its checked construction, with plain int fields.
+def assert_checked(children, closed, params):
+    """Each pool row rebuilds through its checked constructor, with plain ints.
 
-    Extension's children equal `PartialDopr` of their fields, and each
-    closed code equals `StandardDopr` of its own.  Each carries its keys at
-    ``lambda_c`` up to 2, and any keys it holds are those its differences
-    give, counted with multiplicity.
+    Extension's children rebuild as `PartialDopr` of their differences at
+    the (n, w) of ``params``, and each closed row as `StandardDopr` of its
+    own, canonical.  Each row holds the keys that code gives at lambda_c,
+    counted with multiplicity.
     """
-    for g in children:
-        assert g == PartialDopr(g.dops, g.n, g.w)
-        assert all(type(x) is int for x in (g.n, g.w, *g.dops))
-    for c in closed:
-        assert c == StandardDopr(c.dops, c.n)
-        assert type(c) is StandardDopr
-        assert all(type(x) is int for x in (c.n, *c.dops))
-    for g in (*children, *closed):
-        assert lambda_c not in CARRIED or CARRIED[lambda_c] in vars(g)
-        for k, attr in CARRIED.items():
-            if attr in vars(g):
-                assert sorted(vars(g)[attr]) == sorted(_closed_keys(g.closed, g.n, k))
+    n, w, k = params.n, params.w, params.lambda_c
+    for rows, make in ((children, lambda d: PartialDopr(d, n, w)),
+                       (closed, lambda d: StandardDopr(d, n))):
+        for dops, keys in rows:
+            assert type(dops) is tuple
+            assert all(type(x) is int for x in dops)
+            assert sorted(keys) == sorted(make(dops)._pattern_keys(k, True))
 
 
 @settings(max_examples=150, deadline=None)
 @given(extension_parents())
 def test_extension_builds_its_checked_construction(case):
     params, parents = case
-    n, w = params.n, params.w
-    grown = extend_clique_codes([PartialDopr(d, n, w) for d in parents], params)
-    short = [g for g in grown if g.u < w - 1]
-    closing = [PartialDopr(d, n, w) for d in parents if len(d) == w - 2]
-    lam = params.lambda_c
-    assert_checked(grown, oockit.design._grow(closing, params, True), lam)
-    assert_checked(extend_clique_codes(short[:3], params), (), lam)
+    w = params.w
+    grown = extend_clique_codes(rows_of(parents, params), params)
+    short = [g for g in grown if len(g[0]) < w - 1]
+    closing = rows_of([d for d in parents if len(d) == w - 2], params)
+    assert_checked(grown, oockit.design._grow(closing, params, True), params)
+    assert_checked(extend_clique_codes(short[:3], params), (), params)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_params())
 def test_designer_pools_equal_their_checked_construction(params):
-    """Every pool code of a design, opening pairs to closed codes, λ up to 2."""
+    """Every pool row of a design, opening pairs to closed codes, λ up to 2."""
     built = []
 
     def grown(codes, p, last):
@@ -385,9 +392,9 @@ def test_designer_pools_equal_their_checked_construction(params):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oockit.design, "_grow", grown)
         design_fixed(params, max_sets=2)
-    assert_checked(enumerate_first_pairs(params), (), params.lambda_c)
+    assert_checked(enumerate_first_pairs(params), (), params)
     for children, complete in built:
-        assert_checked(children, complete, params.lambda_c)
+        assert_checked(children, complete, params)
 
 
 @pytest.mark.parametrize(
@@ -461,6 +468,28 @@ def test_design_stage_counts(monkeypatch, params, max_sets, graphs, children, cl
     assert seen_graphs == graphs
     assert seen_children == children
     assert seen_closing == closing
+
+
+@pytest.mark.parametrize(
+    "params",
+    [CodeParams(31, 3, 1, 1), CodeParams(61, 4, 1, 1), CodeParams(25, 4, 2, 2)],
+)
+def test_the_designer_makes_one_object_per_candidate_code(monkeypatch, params):
+    """Pools are plain rows: the only code objects a design makes are the
+    distinct codes of its candidate sets, one each, and two sets holding
+    one code hold one object."""
+    made = []
+
+    def counted(cls, **fields):
+        made.append(_settled(cls, **fields))
+        return made[-1]
+
+    monkeypatch.setattr(oockit.design, "_settled", counted)
+    found = oockit.design._candidates(params, None)
+    distinct = {c.dops: c for s in found for c in s.codes}
+    assert len(made) == len(distinct) > 0
+    assert {id(c) for c in made} == {id(c) for c in distinct.values()}
+    assert all(c is distinct[c.dops] for s in found for c in s.codes)
 
 
 def test_fixed_design_smallest_case():
@@ -710,8 +739,8 @@ def test_dedup_by_class_feeds_the_final_stage():
 @st.composite
 def reference_tuples(draw):
     """(n, w, lambda_a, lambda_c) with ceilings 1..3 and w 3..5 above both,
-    n up to 19 (16 at w = 5, 13 at a ceiling of 3, where pool codes carry
-    no keys and graphs key row subsets)."""
+    n up to 19 (16 at w = 5, 13 at a ceiling of 3, where pool rows hold
+    their row subsets)."""
     ceilings = draw(
         st.sampled_from(
             ((1, 1), (2, 2), (1, 2), (2, 1), (3, 3), (1, 3), (3, 1), (2, 3), (3, 2))
